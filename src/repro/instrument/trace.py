@@ -36,12 +36,9 @@ import sys
 import zlib
 from array import array
 
-from repro.errors import TraceError
+import numpy as _np
 
-try:  # optional vectorized counter folds; pure Python otherwise
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
+from repro.errors import TraceError
 
 EXEC = 0
 CALL = 1
@@ -147,7 +144,7 @@ class Trace:
         kinds = self.kinds
         b = self.b
         c = self.c
-        if _np is not None and n - start > 4096:
+        if n - start > 4096:  # small increments fold faster in Python
             kn = _np.frombuffer(kinds, dtype=_np.int8, count=n)[start:]
             if kn.min() < EXEC or kn.max() > SWITCH:
                 bad = int(kn[(kn < EXEC) | (kn > SWITCH)][0])

@@ -8,14 +8,13 @@ L1 hit — through the full ``_access`` machinery (arrival delivery, LRU
 lookup, untouched/in-flight bookkeeping, prefetcher hook).  This module
 removes that per-event work without changing a single observable number:
 
-* **compiled traces** — each (trace, layout) pair is translated once
-  into flat parallel arrays: per-event opcodes, pre-scaled instruction
-  counts, spans into one flat list of global line addresses (built with
-  the layout's precomputed translation table), a per-event contiguity
-  flag, and pre-resolved call-site lines.  Compilation is vectorized
-  with numpy when available and cached per trace object (weakly) —
-  traces are append-only, so a compiled image is reused as long as
-  ``len(trace)`` is unchanged.
+* **compiled traces** — each (trace, layout) pair is translated once,
+  with numpy, into flat parallel arrays: per-event opcodes, pre-scaled
+  instruction counts, spans into one flat list of global line addresses
+  (built with the layout's precomputed translation table), a per-event
+  contiguity flag, and pre-resolved call-site lines.  Compiled images
+  are cached per trace object (weakly) — traces are append-only, so an
+  image is reused as long as ``len(trace)`` is unchanged.
 * **an O(1) residency index** — a bytearray mirror of the L1 content
   replaces the associative ``contains``/``lookup`` scans on the hot
   paths.  Squashed prefetches — the overwhelming majority under NL/CGP
@@ -28,15 +27,11 @@ removes that per-event work without changing a single observable number:
   provably the same line the reference recency list would evict.  The
   ``SetAssocCache`` is reconstructed (sorted by stamp) when the run
   ends, so post-run inspection sees the exact reference state.
-* **a batched guaranteed-hit fast path** — an EXEC event whose lines
-  are consecutive (compile-time flag) is checked against the residency
-  and first-touch indexes with C-speed ``bytearray.count`` range scans;
-  when every line is a resident re-touch, no arrival is due, and the
-  inlined sequential prefetcher would squash every issue, the whole
-  event collapses to counter adds and one stamp slice-assign.
-  Single-line repeats (``OP_EXEC_REP``, also detected at compile time)
-  shrink further to two counter increments under the
-  ``repeat_transparent`` prefetcher contract.
+* **a whole-event batch** — an EXEC event whose lines are consecutive
+  (compile-time flag) is checked against the residency index with one
+  C-speed ``bytearray.count`` range scan; when every line is resident
+  the event collapses to counter adds, one stamp slice-assign and (under
+  the inlined sequential prefetcher) one ascending issue span walk.
 * **specialized kernels** — a run with no prefetcher hooks at all (the
   paper's O5/OM baseline cells) takes a dedicated loop with the memory
   system's port + L2 arithmetic inlined and no in-flight/untouched
@@ -44,9 +39,15 @@ removes that per-event work without changing a single observable number:
   ``nl_component`` (NL, RA-NL, and CGP's within-function component)
   promise their ``on_line_access`` is exactly the sequential-NL
   automaton, so the leading-edge issue, the post-jump fan-out, and the
-  repeat no-op are inlined, squash checks included; and
+  same-line no-op are inlined, squash checks included; and
   :class:`~repro.core.cgp.CgpPrefetcher`'s call/return CGHC accesses
-  are inlined with the first-level history-cache probe flattened.
+  are inlined on the flat CGHC arrays, with one function-head walk
+  shared by the call and return sides.
+
+Each specialization is kept only while it pays: ``docs/BENCHMARKS.md``
+("What each specialization is worth") tabulates what forcing each one
+off costs on ``bench/run.py``, and lists the ones deleted for doing no
+work on real traces.
 
 Equivalence is bit-exact, not approximate: every floating-point
 accumulation (cycle, stall, instructions, fetch/mispredict cycles)
@@ -68,6 +69,8 @@ import weakref
 from collections import OrderedDict
 from heapq import heappop, heappush
 
+import numpy as _np
+
 from repro.errors import SimulationError
 from repro.instrument.trace import CALL, EXEC, RET, SWITCH
 from repro.uarch.fetch_engine import (
@@ -80,16 +83,10 @@ from repro.uarch.prefetch.base import Prefetcher
 from repro.uarch.prefetch.nl import NextNLinePrefetcher, RunAheadNLPrefetcher
 from repro.uarch.ras import RasEntry
 
-try:  # numpy accelerates compilation; the engine runs without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
-
 OP_EXEC = EXEC
 OP_CALL = CALL
 OP_RET = RET
 OP_SWITCH = SWITCH
-OP_EXEC_REP = 4  # single-line EXEC repeating the previous access's line
 
 # ``_state`` bits: a line is 0 when absent, RESIDENT while cached, and
 # RESIDENT|UNTOUCHED while cached but never referenced since its
@@ -114,31 +111,18 @@ class CompiledTrace:
       ``lines``,
     * ``lines`` — flat global line addresses of every EXEC reference,
     * ``contig`` — 1 iff the event's lines are consecutive ascending
-      addresses (the batched fast path's precondition),
+      addresses (the whole-event batch's precondition),
     * ``callsite`` — pre-resolved call-site line for CALL events with a
-      known caller,
-    * ``run_s``/``run_e`` — flat half-open spans (positions into
-      ``lines``) of every maximal *contiguous sub-run*: within a run,
-      ``lines[p + 1] == lines[p] + 1``.  Runs never cross events.
-    * ``run_lo``/``run_hi`` — an EXEC event's half-open span into
-      ``run_s``/``run_e`` (its sub-runs, in order).
-
-    The sub-run decomposition is what lets the replay kernels batch at a
-    finer grain than whole events: every run is one address interval, so
-    residency, first-touch, and the sequential prefetcher's entire
-    issue-attempt span over the run are each provable with a single
-    C-level range scan.
+      known caller.
     """
 
     __slots__ = (
         "n_events", "ops", "ea", "eb", "n_scaled",
         "seg_start", "seg_end", "lines", "contig", "callsite",
-        "run_s", "run_e", "run_lo", "run_hi", "_ops_plain",
     )
 
     def __init__(self, n_events, ops, ea, eb, n_scaled, seg_start,
-                 seg_end, lines, contig, callsite, run_s, run_e,
-                 run_lo, run_hi):
+                 seg_end, lines, contig, callsite):
         self.n_events = n_events
         self.ops = ops
         self.ea = ea
@@ -149,34 +133,11 @@ class CompiledTrace:
         self.lines = lines
         self.contig = contig
         self.callsite = callsite
-        self.run_s = run_s
-        self.run_e = run_e
-        self.run_lo = run_lo
-        self.run_hi = run_hi
-        self._ops_plain = None
-
-    def ops_norepeat(self):
-        """``ops`` with ``OP_EXEC_REP`` rewritten back to ``OP_EXEC``,
-        cached — used whenever the prefetcher is not repeat-transparent
-        (and by every segment of a sharded replay, so the rewrite is
-        paid once per compiled image, not once per segment)."""
-        plain = self._ops_plain
-        if plain is None:
-            plain = self._ops_plain = [
-                OP_EXEC if op == OP_EXEC_REP else op for op in self.ops
-            ]
-        return plain
 
 
 def compile_trace(trace, layout):
     """Translate ``trace`` for ``layout`` (no caching; see ``_compiled``)."""
     n = len(trace)
-    if _np is not None and n:
-        return _compile_np(trace, layout, n)
-    return _compile_py(trace, layout, n)
-
-
-def _compile_np(trace, layout, n):
     tbl, bb = layout.translation_table()
     tbl_np = _np.frombuffer(tbl, dtype=_np.int64)
     bb_np = _np.frombuffer(bb, dtype=_np.int64)
@@ -193,7 +154,6 @@ def _compile_np(trace, layout, n):
     if ((kinds < EXEC) | (kinds > SWITCH)).any():
         bad = int(kinds[((kinds < EXEC) | (kinds > SWITCH))][0])
         raise SimulationError(f"unknown trace event kind {bad}")
-    ops_np = kinds.astype(_np.int64)
 
     # ---- EXEC events: expand offset ranges into global line spans ----
     ex_idx = _np.nonzero(kinds == EXEC)[0]
@@ -219,43 +179,12 @@ def _compile_np(trace, layout, n):
     lines_np = tbl_np[flat_idx]
 
     contig_full = _np.zeros(n, dtype=_np.int64)
-    run_lo_full = _np.zeros(n, dtype=_np.int64)
-    run_hi_full = _np.zeros(n, dtype=_np.int64)
-    run_s_list = []
-    run_e_list = []
     if ex_idx.size:
         # contiguity: no non-adjacent pair inside the segment
         breaks = _np.zeros(total, dtype=_np.int64)
         if total > 1:
             _np.cumsum(lines_np[1:] != lines_np[:-1] + 1, out=breaks[1:])
         contig_full[ex_idx] = breaks[seg_end_ex - 1] == breaks[seg_start_ex]
-
-        # maximal contiguous sub-runs: a run starts at every event start
-        # and at every break in line adjacency; events are stored
-        # back-to-back in ``lines``, so the next run start (or the end
-        # of the flat array) closes each run
-        is_start = _np.ones(total, dtype=bool)
-        if total > 1:
-            is_start[1:] = lines_np[1:] != lines_np[:-1] + 1
-        is_start[seg_start_ex] = True
-        run_s_np = _np.nonzero(is_start)[0]
-        run_e_np = _np.empty_like(run_s_np)
-        if run_s_np.size > 1:
-            run_e_np[:-1] = run_s_np[1:]
-        run_e_np[-1] = total
-        run_lo_full[ex_idx] = _np.searchsorted(run_s_np, seg_start_ex)
-        run_hi_full[ex_idx] = _np.searchsorted(run_s_np, seg_end_ex)
-        run_s_list = run_s_np.tolist()
-        run_e_list = run_e_np.tolist()
-
-        # mark single-line EXECs repeating the previous EXEC's last line
-        first_line = lines_np[seg_start_ex]
-        last_line = lines_np[seg_end_ex - 1]
-        prev_last = _np.empty_like(last_line)
-        prev_last[0] = -1
-        prev_last[1:] = last_line[:-1]
-        rep = (seg_lens == 1) & (first_line == prev_last)
-        ops_np[ex_idx[rep]] = OP_EXEC_REP
 
     if isinstance(instr_scale, float):
         n_scaled_ex = (hi - lo + 1).astype(_np.float64) * instr_scale
@@ -288,7 +217,7 @@ def _compile_np(trace, layout, n):
 
     return CompiledTrace(
         n_events=n,
-        ops=ops_np.tolist(),
+        ops=kinds.tolist(),
         ea=a.tolist(),
         eb=b.tolist(),
         n_scaled=n_scaled_full.tolist(),
@@ -297,111 +226,6 @@ def _compile_np(trace, layout, n):
         lines=lines_np.tolist(),
         contig=contig_full.tolist(),
         callsite=callsite_full.tolist(),
-        run_s=run_s_list,
-        run_e=run_e_list,
-        run_lo=run_lo_full.tolist(),
-        run_hi=run_hi_full.tolist(),
-    )
-
-
-def _compile_py(trace, layout, n):
-    """Pure-Python compilation (numpy-free fallback; same output)."""
-    tbl, bb = layout.translation_table()
-    sizes = layout.size_lines
-    num = layout.num
-    den = layout.den
-    instr_scale = layout.instr_scale
-    nfuncs = len(bb)
-    kinds = trace.kinds
-    a, b, c = trace.a, trace.b, trace.c
-
-    ops = [0] * n
-    n_scaled = [0] * n
-    seg_start = [0] * n
-    seg_end = [0] * n
-    contig = [0] * n
-    callsite = [0] * n
-    run_lo = [0] * n
-    run_hi = [0] * n
-    run_s = []
-    run_e = []
-    lines = []
-    prev_last = -1
-    for i in range(n):
-        kind = kinds[i]
-        if kind == EXEC:
-            fid = a[i]
-            o1 = b[i]
-            o2 = c[i]
-            if o2 < o1:
-                o1, o2 = o2, o1
-            if fid < 0 or fid >= nfuncs:
-                raise SimulationError("EXEC event references unknown function")
-            if o1 < 0:
-                raise SimulationError("EXEC event has a negative offset")
-            fb = (o1 * num) // den
-            lb = (o2 * num) // den
-            if lb >= sizes[fid]:
-                raise SimulationError("EXEC offset beyond function extent")
-            tb = bb[fid]
-            start = len(lines)
-            lines.extend(tbl[tb + fb:tb + lb + 1])
-            seg_start[i] = start
-            seg_end[i] = len(lines)
-            n_scaled[i] = (o2 - o1 + 1) * instr_scale
-            contig[i] = 1
-            run_lo[i] = len(run_s)
-            run_s.append(start)
-            for j in range(start + 1, len(lines)):
-                if lines[j] != lines[j - 1] + 1:
-                    contig[i] = 0
-                    run_e.append(j)
-                    run_s.append(j)
-            run_e.append(len(lines))
-            run_hi[i] = len(run_s)
-            if lb == fb and lines[start] == prev_last:
-                ops[i] = OP_EXEC_REP
-            else:
-                ops[i] = OP_EXEC
-            prev_last = lines[-1]
-        elif kind == CALL:
-            ops[i] = OP_CALL
-            caller = b[i]
-            if caller >= 0:
-                if caller >= nfuncs:
-                    raise SimulationError("CALL event references unknown caller")
-                off = c[i]
-                if off < 0:
-                    raise SimulationError(
-                        "CALL event has a negative call-site offset"
-                    )
-                blk = (off * num) // den
-                if blk >= sizes[caller]:
-                    raise SimulationError(
-                        "call-site offset beyond function extent"
-                    )
-                callsite[i] = tbl[bb[caller] + blk]
-        elif kind == RET:
-            ops[i] = OP_RET
-        elif kind == SWITCH:
-            ops[i] = OP_SWITCH
-        else:
-            raise SimulationError(f"unknown trace event kind {kind}")
-    return CompiledTrace(
-        n_events=n,
-        ops=ops,
-        ea=list(a),
-        eb=list(b),
-        n_scaled=n_scaled,
-        seg_start=seg_start,
-        seg_end=seg_end,
-        lines=lines,
-        contig=contig,
-        callsite=callsite,
-        run_s=run_s,
-        run_e=run_e,
-        run_lo=run_lo,
-        run_hi=run_hi,
     )
 
 
@@ -471,16 +295,9 @@ def _cghc_set_tables(layout, n1_sets, n2_sets):
     traces, so a swapped-out layout can never serve stale tables.
     """
     key = (n1_sets, n2_sets)
-    try:
-        per_layout = _CGHC_SET_CACHE.get(layout)
-    except TypeError:  # un-weakref-able layout stand-in: build fresh
-        per_layout = None
+    per_layout = _CGHC_SET_CACHE.get(layout)
     if per_layout is None:
-        per_layout = {}
-        try:
-            _CGHC_SET_CACHE[layout] = per_layout
-        except TypeError:
-            pass
+        per_layout = _CGHC_SET_CACHE[layout] = {}
     tables = per_layout.get(key)
     if tables is None:
         base = layout.base_line
@@ -503,13 +320,9 @@ def clear_compile_cache():
 
 
 def _compiled(trace, layout):
-    try:
-        entries = _COMPILE_CACHE.get(trace)
-    except TypeError:  # un-weakref-able trace stand-in: compile fresh
-        return compile_trace(trace, layout)
+    entries = _COMPILE_CACHE.get(trace)
     if entries is None:
-        entries = []
-        _COMPILE_CACHE[trace] = entries
+        entries = _COMPILE_CACHE[trace] = []
     for pos, (cached_layout, compiled) in enumerate(entries):
         if cached_layout is layout:
             if compiled.n_events == len(trace):
@@ -820,7 +633,7 @@ class FastFetchEngine(FetchEngine):
 
         for i in range(ev0, ev1):
             op = ops[i]
-            if op == OP_EXEC or op == OP_EXEC_REP:
+            if op == OP_EXEC:
                 nf = n_scaled[i]
                 stats.instructions += nf
                 d = nf * cpi
@@ -1028,11 +841,6 @@ class FastFetchEngine(FetchEngine):
             not perfect and cls.on_return is not Prefetcher.on_return
         )
 
-        # the repeat opcode is only valid when the prefetcher ignores
-        # same-line repeats and the cache model is actually exercised
-        if perfect or not getattr(prefetcher, "repeat_transparent", False):
-            ops = compiled.ops_norepeat()
-
         # local accumulators: floats replicate the reference engine's
         # operation order exactly; integer deltas are flushed at the end
         # (integer addition commutes with the reference's interleaving)
@@ -1078,17 +886,12 @@ class FastFetchEngine(FetchEngine):
             l2m = 0
             for i in range(ev0, ev1):
                 op = ops[i]
-                if op == OP_EXEC or op == OP_EXEC_REP:
+                if op == OP_EXEC:
                     nf = n_scaled[i]
                     d = nf * cpi
                     instructions += nf
                     cycle += d
                     fetch_cycles += d
-                    if op == OP_EXEC_REP:
-                        # resident and MRU by construction
-                        line_accesses += 1
-                        hit_count += 1
-                        continue
                     s = seg_start[i]
                     e = seg_end[i]
                     # whole-event batch: with no prefetcher there are
@@ -1253,10 +1056,10 @@ class FastFetchEngine(FetchEngine):
                 and not nl_inline
                 and not getattr(prefetcher, "hit_transparent", False)
             )
-            # a sub-run that is entirely resident-and-touched can batch
+            # an event that is entirely resident-and-touched can batch
             # when the only per-line work a pure hit performs is the
             # inlined NL automaton (or nothing at all: a hook that
-            # skips pure hits never fires inside such a run)
+            # skips pure hits never fires inside such an event)
             batch_ok = nl_inline or not hook_on_hit
             # first-touch-transparent batching: the plain-NL automaton
             # (and an absent line hook) is insensitive to whether a hit
@@ -1377,20 +1180,13 @@ class FastFetchEngine(FetchEngine):
 
             for i in range(ev0, ev1):
                 op = ops[i]
-                if op == OP_EXEC or op == OP_EXEC_REP:
+                if op == OP_EXEC:
                     nf = n_scaled[i]
                     d = nf * cpi
                     instructions += nf
                     cycle += d
                     fetch_cycles += d
                     if perfect:
-                        continue
-                    if op == OP_EXEC_REP and cycle < next_due:
-                        # resident, MRU, already touched, prefetcher is
-                        # repeat-transparent: pure counters (no stamp
-                        # needed — the line holds its set's max stamp)
-                        line_accesses += 1
-                        hit_count += 1
                         continue
                     s = seg_start[i]
                     e = seg_end[i]
@@ -1576,216 +1372,6 @@ class FastFetchEngine(FetchEngine):
                                 while tz >= 0 and iflag[tz]:
                                     tz = state.find(0, tz + 1, t1c)
                             ps_nl.squashed += squash
-                            continue
-                        elif not nl_inline and batch_touch:
-                            # ---- chunked scan fallback ----
-                            # The event is blocked somewhere, but with
-                            # no per-line automaton every *resident*
-                            # stretch is still pure hits: the clock
-                            # only moves at a blocking line (absent or
-                            # in flight), so alternate C-scanned
-                            # resident chunks with per-line handling
-                            # of each blocking line.  A stall there
-                            # can mature arrivals, so due deliveries
-                            # are drained before rescanning — exactly
-                            # the per-line loop's iteration order.
-                            pos = a0
-                            while True:
-                                z = state.find(0, pos, aend)
-                                if z < 0:
-                                    z = aend
-                                if z > pos:
-                                    kc = z - pos
-                                    line_accesses += kc
-                                    hit_count += kc
-                                    stamp[pos:z] = range(ctr, ctr + kc)
-                                    ctr += kc
-                                    y = state.find(3, pos, z)
-                                    while y >= 0:
-                                        state[y] = 1
-                                        if fast_life:
-                                            u_ps[y].pref_hits += 1
-                                        else:
-                                            sprefetch[
-                                                untouched_pop(y)
-                                            ].pref_hits += 1
-                                        y = state.find(3, y + 1, z)
-                                if z >= aend:
-                                    break
-                                # blocking line: the per-line miss
-                                # path, verbatim
-                                line_accesses += 1
-                                miss_count += 1
-                                if iflag[z]:
-                                    iflag[z] = 0
-                                    if fast_life:
-                                        arrival = if_comp[z]
-                                        if_ps[z].delayed_hits += 1
-                                    else:
-                                        arrival, origin0 = (
-                                            in_flight.pop(z)
-                                        )
-                                        sprefetch[
-                                            origin0
-                                        ].delayed_hits += 1
-                                    stall = arrival - cycle
-                                    if stall > 0:
-                                        cycle += stall
-                                        stall_cycles += stall
-                                else:
-                                    demand_misses += 1
-                                    if inline_mem:
-                                        start_t = (
-                                            cycle if cycle > port_free
-                                            else port_free
-                                        )
-                                        port_free = start_t + m_occ
-                                        m_trans += 1
-                                        i2 = (z % l2_nsets) * l2_assoc
-                                        t2 = i2 + l2_assoc - 1
-                                        if l2ways[t2] == z:
-                                            w = t2
-                                        else:
-                                            w = t2 - 1
-                                            while w >= i2:
-                                                if l2ways[w] == z:
-                                                    while w < t2:
-                                                        l2ways[w] = (
-                                                            l2ways[w + 1]
-                                                        )
-                                                        w += 1
-                                                    l2ways[t2] = z
-                                                    break
-                                                w -= 1
-                                            else:
-                                                w = -1
-                                        if w >= 0:
-                                            m_l2h += 1
-                                            l2_hits += 1
-                                            completion = (
-                                                start_t + m_hit_lat
-                                            )
-                                        else:
-                                            m_l2m += 1
-                                            memory_fetches += 1
-                                            l2_insert(z)
-                                            completion = (
-                                                start_t
-                                                + m_hit_lat
-                                                + m_mem_lat
-                                            )
-                                    else:
-                                        completion, from_mem = (
-                                            memsys_request(
-                                                z, cycle,
-                                                is_prefetch=False,
-                                            )
-                                        )
-                                        if from_mem:
-                                            memory_fetches += 1
-                                        else:
-                                            l2_hits += 1
-                                    stall = completion - cycle
-                                    cycle += stall
-                                    stall_cycles += stall
-                                # inlined _install(z): known absent
-                                idx = (z % n_sets) * assoc
-                                iw = idx + assoc
-                                w = idx
-                                while w < iw and ways[w] >= 0:
-                                    w += 1
-                                if w < iw:
-                                    ways[w] = z
-                                else:
-                                    vs = idx
-                                    vmin = stamp[ways[idx]]
-                                    w = idx + 1
-                                    while w < iw:
-                                        sv = stamp[ways[w]]
-                                        if sv < vmin:
-                                            vmin = sv
-                                            vs = w
-                                        w += 1
-                                    victim = ways[vs]
-                                    ways[vs] = z
-                                    if state[victim] & 2:
-                                        if fast_life:
-                                            u_ps[victim].useless += 1
-                                        else:
-                                            vo = untouched_pop(victim)
-                                            sprefetch[vo].useless += 1
-                                    state[victim] = 0
-                                state[z] = 1
-                                stamp[z] = ctr
-                                ctr += 1
-                                pos = z + 1
-                                if pos >= aend:
-                                    break
-                                if cycle >= next_due:
-                                    while (
-                                        arrivals
-                                        and arrivals[0][0] <= cycle
-                                    ):
-                                        _arrival, aline = heappop(
-                                            arrivals
-                                        )
-                                        if fast_life:
-                                            if (
-                                                not iflag[aline]
-                                                or if_comp[aline]
-                                                != _arrival
-                                            ):
-                                                continue
-                                        else:
-                                            record = in_flight.pop(
-                                                aline, None
-                                            )
-                                            if record is None:
-                                                continue
-                                        iflag[aline] = 0
-                                        ai = (aline % n_sets) * assoc
-                                        aw = ai + assoc
-                                        w = ai
-                                        while w < aw and ways[w] >= 0:
-                                            w += 1
-                                        if w < aw:
-                                            ways[w] = aline
-                                        else:
-                                            vs = ai
-                                            vmin = stamp[ways[ai]]
-                                            w = ai + 1
-                                            while w < aw:
-                                                sv = stamp[ways[w]]
-                                                if sv < vmin:
-                                                    vmin = sv
-                                                    vs = w
-                                                w += 1
-                                            victim = ways[vs]
-                                            ways[vs] = aline
-                                            if state[victim] & 2:
-                                                if fast_life:
-                                                    u_ps[
-                                                        victim
-                                                    ].useless += 1
-                                                else:
-                                                    vo = untouched_pop(
-                                                        victim
-                                                    )
-                                                    sprefetch[
-                                                        vo
-                                                    ].useless += 1
-                                            state[victim] = 0
-                                        state[aline] = 3
-                                        stamp[aline] = ctr
-                                        ctr += 1
-                                        if fast_life:
-                                            u_ps[aline] = if_ps[aline]
-                                        else:
-                                            untouched[aline] = record[1]
-                                    next_due = (
-                                        arrivals[0][0]
-                                        if arrivals else _inf
-                                    )
                             continue
                     for line in lines[s:e]:
                         # ---- inlined reference _access ----
@@ -2161,6 +1747,7 @@ class FastFetchEngine(FetchEngine):
                             next_due = (
                                 arrivals[0][0] if arrivals else _inf
                             )
+                    continue
                 elif op == OP_CALL:
                     calls += 1
                     instructions += overhead_instrs
@@ -2193,136 +1780,49 @@ class FastFetchEngine(FetchEngine):
                             rcount += 1
                         else:
                             r_over += 1
-                    if cgp_inline:
-                        # ---- inlined CgpPrefetcher.on_call ----
-                        if predicted:
-                            callee = ea[i]
-                            # prefetch access keyed by the target
-                            tag = entry_lines[callee]
-                            cs1 = cg_set1[callee]
-                            if f1_tag[cs1] == tag:
-                                cg_h1 += 1
-                                latency = cg_lat1
-                            else:
-                                latency = cg_ensure(tag)[0]
-                            if f1_len[cs1]:
-                                # prefetch_function_head(first_callee)
-                                first = f1_seq[cs1 * cg_K]
-                                if ps_cg is None:
-                                    ps_cg = stats.prefetch_origin(
-                                        cg_origin
-                                    )
-                                start2 = base[first]
-                                end2 = cg_head_end[first]
-                                now2 = cycle + latency + 1
-                                # batched head walk (same argument as
-                                # the NL fan): no line access happens
-                                # inside the window, so residency is
-                                # frozen while it runs — ``find`` jumps
-                                # straight to the targets that issue,
-                                # every skipped line squashes (head
-                                # lines are always in range, the
-                                # ``head_extents`` clamp), and
-                                # ascending order IS the reference's
-                                # per-target FIFO-port issue order
-                                squash = end2 - start2
-                                pl = state.find(0, start2, end2)
-                                while pl >= 0 and iflag[pl]:
-                                    pl = state.find(0, pl + 1, end2)
-                                while pl >= 0:
-                                    squash -= 1
-                                    if inline_mem:
-                                        start_t = (
-                                            now2
-                                            if now2 > port_free
-                                            else port_free
-                                        )
-                                        port_free = start_t + m_occ
-                                        m_trans += 1
-                                        i2 = (
-                                            (pl % l2_nsets)
-                                            * l2_assoc
-                                        )
-                                        t2 = i2 + l2_assoc - 1
-                                        if l2ways[t2] == pl:
-                                            w = t2
-                                        else:
-                                            w = t2 - 1
-                                            while w >= i2:
-                                                if l2ways[w] == pl:
-                                                    while w < t2:
-                                                        l2ways[w] = (
-                                                            l2ways[
-                                                                w + 1
-                                                            ]
-                                                        )
-                                                        w += 1
-                                                    l2ways[t2] = pl
-                                                    break
-                                                w -= 1
-                                            else:
-                                                w = -1
-                                        if w >= 0:
-                                            m_l2h += 1
-                                            completion = (
-                                                start_t + m_hit_lat
-                                            )
-                                        else:
-                                            m_l2m += 1
-                                            l2_insert(pl)
-                                            completion = (
-                                                start_t
-                                                + m_hit_lat
-                                                + m_mem_lat
-                                            )
-                                    else:
-                                        completion, _mem = (
-                                            memsys_request(
-                                                pl, now2,
-                                                is_prefetch=True,
-                                            )
-                                        )
-                                    if fast_life:
-                                        if_comp[pl] = completion
-                                        if_ps[pl] = ps_cg
-                                    else:
-                                        in_flight[pl] = (
-                                            completion, cg_origin
-                                        )
-                                    iflag[pl] = 1
-                                    heappush(
-                                        arrivals,
-                                        (completion, pl),
-                                    )
-                                    if completion < next_due:
-                                        next_due = completion
-                                    ps_cg.issued += 1
-                                    pl = state.find(0, pl + 1, end2)
-                                    while pl >= 0 and iflag[pl]:
-                                        pl = state.find(0, pl + 1, end2)
-                                ps_cg.squashed += squash
-                            # update access keyed by the caller
-                            if caller >= 0:
-                                tag = entry_lines[caller]
-                                cs1 = cg_set1[caller]
-                                if f1_tag[cs1] == tag:
-                                    cg_h1 += 1
-                                else:
-                                    cg_ensure(tag)
-                                # inlined CghcEntry.record_call
-                                slot = f1_idx[cs1] - 1
-                                if slot < cg_K:
-                                    f1_seq[cs1 * cg_K + slot] = callee
-                                    if slot == f1_len[cs1]:
-                                        f1_len[cs1] = slot + 1
-                                    f1_idx[cs1] = slot + 2
-                    elif do_call_hook:
-                        self.cycle = cycle
-                        self._rng_state = rng
-                        prefetcher.on_call(caller, ea[i], predicted, self)
-                        cycle = self.cycle
-                        rng = self._rng_state
-                        next_due = arrivals[0][0] if arrivals else _inf
+                    if not cgp_inline:
+                        if do_call_hook:
+                            self.cycle = cycle
+                            self._rng_state = rng
+                            prefetcher.on_call(caller, ea[i], predicted,
+                                               self)
+                            cycle = self.cycle
+                            rng = self._rng_state
+                            next_due = arrivals[0][0] if arrivals else _inf
+                        continue
+                    if not predicted:
+                        continue
+                    # ---- inlined CgpPrefetcher.on_call ----
+                    callee = ea[i]
+                    # prefetch access keyed by the target
+                    tag = entry_lines[callee]
+                    cs1 = cg_set1[callee]
+                    if f1_tag[cs1] == tag:
+                        cg_h1 += 1
+                        latency = cg_lat1
+                    else:
+                        latency = cg_ensure(tag)[0]
+                    # prefetch_function_head(first_callee), walked below
+                    if f1_len[cs1]:
+                        head = f1_seq[cs1 * cg_K]
+                        now2 = cycle + latency + 1
+                    else:
+                        head = -1
+                    # update access keyed by the caller
+                    if caller >= 0:
+                        tag = entry_lines[caller]
+                        cs1 = cg_set1[caller]
+                        if f1_tag[cs1] == tag:
+                            cg_h1 += 1
+                        else:
+                            cg_ensure(tag)
+                        # inlined CghcEntry.record_call
+                        slot = f1_idx[cs1] - 1
+                        if slot < cg_K:
+                            f1_seq[cs1 * cg_K + slot] = callee
+                            if slot == f1_len[cs1]:
+                                f1_len[cs1] = slot + 1
+                            f1_idx[cs1] = slot + 2
                 elif op == OP_RET:
                     returns += 1
                     instructions += overhead_instrs
@@ -2347,140 +1847,118 @@ class FastFetchEngine(FetchEngine):
                     if not predicted:
                         cycle += penalty
                         mispredict_cycles += penalty
-                    if cgp_inline:
-                        # ---- inlined CgpPrefetcher.on_return ----
-                        if predicted:
-                            if entry is not None:
-                                # prefetch access keyed by the caller's
-                                # start address from the modified RAS
-                                # (entry[1] == base[entry[2]], so the
-                                # set table applies)
-                                tag = entry[1]
-                                cs1 = cg_set1[entry[2]]
-                                if f1_tag[cs1] == tag:
-                                    cg_h1 += 1
-                                    latency = cg_lat1
-                                else:
-                                    latency = cg_ensure(tag)[0]
-                                # inlined CghcEntry.predicted_next
-                                slot = f1_idx[cs1] - 1
-                                if slot < f1_len[cs1]:
-                                    first = f1_seq[cs1 * cg_K + slot]
-                                    if ps_cg is None:
-                                        ps_cg = stats.prefetch_origin(
-                                            cg_origin
-                                        )
-                                    start2 = base[first]
-                                    end2 = cg_head_end[first]
-                                    now2 = cycle + latency + 1
-                                    # batched head walk — see the
-                                    # on_call twin above
-                                    squash = end2 - start2
-                                    pl = state.find(0, start2, end2)
-                                    while pl >= 0 and iflag[pl]:
-                                        pl = state.find(
-                                            0, pl + 1, end2
-                                        )
-                                    while pl >= 0:
-                                        squash -= 1
-                                        if inline_mem:
-                                            start_t = (
-                                                now2
-                                                if now2 > port_free
-                                                else port_free
-                                            )
-                                            port_free = (
-                                                start_t + m_occ
-                                            )
-                                            m_trans += 1
-                                            i2 = (
-                                                (pl % l2_nsets)
-                                                * l2_assoc
-                                            )
-                                            t2 = i2 + l2_assoc - 1
-                                            if l2ways[t2] == pl:
-                                                w = t2
-                                            else:
-                                                w = t2 - 1
-                                                while w >= i2:
-                                                    if (
-                                                        l2ways[w]
-                                                        == pl
-                                                    ):
-                                                        while w < t2:
-                                                            l2ways[
-                                                                w
-                                                            ] = l2ways[
-                                                                w + 1
-                                                            ]
-                                                            w += 1
-                                                        l2ways[
-                                                            t2
-                                                        ] = pl
-                                                        break
-                                                    w -= 1
-                                                else:
-                                                    w = -1
-                                            if w >= 0:
-                                                m_l2h += 1
-                                                completion = (
-                                                    start_t
-                                                    + m_hit_lat
-                                                )
-                                            else:
-                                                m_l2m += 1
-                                                l2_insert(pl)
-                                                completion = (
-                                                    start_t
-                                                    + m_hit_lat
-                                                    + m_mem_lat
-                                                )
-                                        else:
-                                            completion, _mem = (
-                                                memsys_request(
-                                                    pl, now2,
-                                                    is_prefetch=True,
-                                                )
-                                            )
-                                        if fast_life:
-                                            if_comp[pl] = completion
-                                            if_ps[pl] = ps_cg
-                                        else:
-                                            in_flight[pl] = (
-                                                completion, cg_origin
-                                            )
-                                        iflag[pl] = 1
-                                        heappush(
-                                            arrivals,
-                                            (completion, pl),
-                                        )
-                                        if completion < next_due:
-                                            next_due = completion
-                                        ps_cg.issued += 1
-                                        pl = state.find(0, pl + 1, end2)
-                                        while pl >= 0 and iflag[pl]:
-                                            pl = state.find(
-                                                0, pl + 1, end2
-                                            )
-                                    ps_cg.squashed += squash
-                            # update access keyed by the returner
-                            ret_fid = ea[i]
-                            tag = entry_lines[ret_fid]
-                            cs1 = cg_set1[ret_fid]
-                            if f1_tag[cs1] == tag:
-                                cg_h1 += 1
+                    if not cgp_inline:
+                        if do_ret_hook:
+                            self.cycle = cycle
+                            self._rng_state = rng
+                            prefetcher.on_return(ea[i], entry, predicted,
+                                                 self)
+                            cycle = self.cycle
+                            rng = self._rng_state
+                            next_due = arrivals[0][0] if arrivals else _inf
+                        continue
+                    if not predicted:
+                        continue
+                    # ---- inlined CgpPrefetcher.on_return ----
+                    # prefetch access keyed by the caller's start address
+                    # from the modified RAS (a predicted return always
+                    # popped an entry; entry[1] == base[entry[2]], so the
+                    # set table applies)
+                    tag = entry[1]
+                    cs1 = cg_set1[entry[2]]
+                    if f1_tag[cs1] == tag:
+                        cg_h1 += 1
+                        latency = cg_lat1
+                    else:
+                        latency = cg_ensure(tag)[0]
+                    # inlined CghcEntry.predicted_next, walked below
+                    slot = f1_idx[cs1] - 1
+                    if slot < f1_len[cs1]:
+                        head = f1_seq[cs1 * cg_K + slot]
+                        now2 = cycle + latency + 1
+                    else:
+                        head = -1
+                    # update access keyed by the returner
+                    ret_fid = ea[i]
+                    tag = entry_lines[ret_fid]
+                    cs1 = cg_set1[ret_fid]
+                    if f1_tag[cs1] == tag:
+                        cg_h1 += 1
+                    else:
+                        cg_ensure(tag)
+                    # inlined CghcEntry.reset_index
+                    f1_idx[cs1] = 1
+                else:
+                    # OP_SWITCH: hardware state is shared across threads
+                    continue
+                # ---- CGHC-triggered head prefetch (call or return) ----
+                # The walk runs after the caller/returner update above:
+                # that update writes only the CGHC arrays, so residency,
+                # ``iflag``, the memory port and the arrival heap are
+                # exactly as they were when ``head``/``now2`` were
+                # captured.  Batched like the NL fan: no line access
+                # happens inside the window, so ``find`` jumps straight
+                # to the targets that issue, every skipped line squashes
+                # (head lines are always in range, the ``head_extents``
+                # clamp), and ascending order IS the reference's
+                # per-target FIFO-port issue order.
+                if head < 0:
+                    continue
+                if ps_cg is None:
+                    ps_cg = stats.prefetch_origin(cg_origin)
+                end2 = cg_head_end[head]
+                pl = base[head]
+                squash = end2 - pl
+                pl = state.find(0, pl, end2)
+                while pl >= 0 and iflag[pl]:
+                    pl = state.find(0, pl + 1, end2)
+                while pl >= 0:
+                    squash -= 1
+                    if inline_mem:
+                        start_t = now2 if now2 > port_free else port_free
+                        port_free = start_t + m_occ
+                        m_trans += 1
+                        i2 = (pl % l2_nsets) * l2_assoc
+                        t2 = i2 + l2_assoc - 1
+                        if l2ways[t2] == pl:
+                            w = t2
+                        else:
+                            w = t2 - 1
+                            while w >= i2:
+                                if l2ways[w] == pl:
+                                    while w < t2:
+                                        l2ways[w] = l2ways[w + 1]
+                                        w += 1
+                                    l2ways[t2] = pl
+                                    break
+                                w -= 1
                             else:
-                                cg_ensure(tag)
-                            # inlined CghcEntry.reset_index
-                            f1_idx[cs1] = 1
-                    elif do_ret_hook:
-                        self.cycle = cycle
-                        self._rng_state = rng
-                        prefetcher.on_return(ea[i], entry, predicted, self)
-                        cycle = self.cycle
-                        rng = self._rng_state
-                        next_due = arrivals[0][0] if arrivals else _inf
-                # OP_SWITCH: hardware state is shared across threads
+                                w = -1
+                        if w >= 0:
+                            m_l2h += 1
+                            completion = start_t + m_hit_lat
+                        else:
+                            m_l2m += 1
+                            l2_insert(pl)
+                            completion = start_t + m_hit_lat + m_mem_lat
+                    else:
+                        completion, _mem = memsys_request(
+                            pl, now2, is_prefetch=True
+                        )
+                    if fast_life:
+                        if_comp[pl] = completion
+                        if_ps[pl] = ps_cg
+                    else:
+                        in_flight[pl] = (completion, cg_origin)
+                    iflag[pl] = 1
+                    heappush(arrivals, (completion, pl))
+                    if completion < next_due:
+                        next_due = completion
+                    ps_cg.issued += 1
+                    pl = state.find(0, pl + 1, end2)
+                    while pl >= 0 and iflag[pl]:
+                        pl = state.find(0, pl + 1, end2)
+                ps_cg.squashed += squash
 
             if fast_life:
                 # restore the canonical dict maps from the flat arrays

@@ -23,18 +23,6 @@ class Prefetcher:
 
     name = "none"
 
-    #: Contract flag for the optimized replay core's repeat fast path:
-    #: True promises that ``on_line_access`` is a no-op (no prefetches,
-    #: no externally visible state change) when called for the same line
-    #: as the immediately preceding access with
-    #: ``engine.last_access_missed`` and ``engine.last_access_first_touch``
-    #: both False.  All shipped prefetchers satisfy this (sequential
-    #: prefetchers key off line *changes*; tagged ones off miss/first
-    #: touch).  Subclasses that act on every access, including exact
-    #: repeats, must set this to False to keep the fast engine
-    #: bit-identical to the reference engine.
-    repeat_transparent = True
-
     def reset(self):
         """Clear any internal state between runs."""
 

@@ -356,11 +356,13 @@ def replay_sharded(trace, layout, config, prefetcher=None, seed=12345,
     (worker processes, crash retry, fault injection all come along).
     When ``None``, shards replay in-process — still exercising the full
     snapshot/restore/merge path, which is what the equivalence suites
-    pin down.  Wall-clock gain requires a multi-core ``runner``; the
-    record pass is itself one sequential replay of all but the last
-    segment, so the parallel path's speedup ceiling is
-    ``n_events / (n_events - len(last segment))`` times the per-worker
-    concurrency.
+    pin down.  Sharding is never faster than one ``run()``, at any
+    worker count: the record pass replays every segment but the last in
+    sequence, and the last segment cannot start before that pass reaches
+    its boundary, so the wall time is at least one whole replay plus the
+    snapshot and merge overhead (``uarch.shard2_speedup`` in
+    ``bench/run.py --trace`` measures 0.70–0.77 with two workers on a
+    2-core host).
 
     ``collector`` — attribution payloads have no cross-process merge,
     so a collector forces the sequential chained path: one observed

@@ -9,7 +9,7 @@ comes out equal to the reference engine's on the same trace.  These
 tests drive both engines over randomized traces crossed with every
 prefetcher family, permuted and identity layouts, perfect-icache and
 demand-priority configurations, and same-line repeat patterns (the
-``OP_EXEC_REP`` fast path).
+inlined sequential prefetcher's ``line == nl_last`` no-op).
 """
 
 from dataclasses import replace
@@ -23,6 +23,7 @@ from repro.instrument.trace import Trace
 from repro.layout.layouts import AddressMap
 from repro.obsv import AttributionCollector, validate_payload
 from repro.uarch.config import CacheConfig, CghcConfig, SimConfig
+from repro.uarch.fast_engine import FastFetchEngine
 from repro.uarch.fetch_engine import simulate
 from repro.uarch.prefetch.nl import (
     NextNLinePrefetcher,
@@ -86,8 +87,9 @@ def make_prefetcher(name, layout, degree):
 @st.composite
 def traces(draw):
     """Well-formed traces biased toward the fast paths' edge cases:
-    sequential runs (batching), same-line repeats (``OP_EXEC_REP``),
-    offsets at the last function's tail (out-of-range prefetches)."""
+    sequential runs (batching), same-line repeats (the inlined NL
+    automaton's no-op), offsets at the last function's tail
+    (out-of-range prefetches)."""
     trace = Trace()
     stack = []
     for _ in range(draw(st.integers(1, 50))):
@@ -262,3 +264,28 @@ def test_out_of_range_accounted_identically():
     assert p.out_of_range > 0
     assert p.issued == p.accounted()
     assert fast.bus_transactions == fast.demand_misses + p.issued
+
+
+def test_empty_trace_identical_across_engines():
+    """A zero-event trace compiles and replays to the same stats (and
+    attribution payload) in both engines, through ``run()`` and through
+    the compile-only ``run_range(trace, 0, 0)`` that callers use to warm
+    the compile cache."""
+    layout = build_layout("scrambled")
+    trace = Trace()
+    for pf in PREFETCHERS:
+        ref, fast = both_engines(trace, layout, SMALL_CONFIG, pf, 2)
+        assert ref == fast
+        engine = FastFetchEngine(SMALL_CONFIG, layout,
+                                 prefetcher=make_prefetcher(pf, layout, 2))
+        assert engine.run_range(trace, 0, 0).to_dict() == ref
+        payloads = []
+        for name in ("reference", "fast"):
+            collector = AttributionCollector(layout, interval=400,
+                                             lifecycle=64)
+            stats = simulate(trace, layout, SMALL_CONFIG,
+                             prefetcher=make_prefetcher(pf, layout, 2),
+                             engine=name, collector=collector)
+            assert stats.to_dict() == ref
+            payloads.append(collector.to_dict())
+        assert payloads[0] == payloads[1]

@@ -90,7 +90,7 @@ def journaled(fn):
 @st.composite
 def fuzz_traces(draw):
     """Well-formed traces biased toward every fast-path edge at once:
-    ascending runs (batching), same-line repeats (``OP_EXEC_REP``),
+    ascending runs (batching), same-line repeats (the NL no-op),
     tail offsets (out-of-range fan-outs), call/return nests (RAS, CGP),
     and context switches (shard-boundary magnets)."""
     trace = Trace()
