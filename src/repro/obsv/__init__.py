@@ -9,9 +9,11 @@ windowed time-series (:class:`~repro.obsv.interval.IntervalSampler`),
 and traces individual prefetches from issue to first use or eviction
 (:class:`~repro.obsv.lifecycle.PrefetchLifecycle`).
 
-Collection is opt-in and zero-cost when disabled: engines carry a
-``collector`` attribute that is ``None`` by default, and every
-instrumentation site is guarded by that single reference.  Both replay
+Collection is opt-in: engines carry a ``collector`` attribute that is
+``None`` by default, and every instrumentation site is guarded by one
+branch on it.  With a collector attached, the fast engine's batched
+kernels keep running and write the same line-indexed counters the
+reference engine fills through the collector's methods.  Both replay
 engines produce identical ``SimStats`` *and* identical attribution
 payloads with collection on or off (enforced by the cross-engine
 equivalence suites).

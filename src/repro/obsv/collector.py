@@ -1,24 +1,26 @@
 """Per-function / per-layer attribution of simulator events.
 
 The :class:`AttributionCollector` is the hub of the observability
-layer: both replay engines call into it (when attached) from the same
-classification points — demand misses, the Figure-8 prefetch outcomes,
-CGHC accesses — passing the *line address* involved.  The collector
-resolves lines to function ids through a table built once from the
-:class:`~repro.layout.layouts.AddressMap` (functions occupy contiguous
-line spans, so the table is a flat list fill), and aggregates counters
-per function and, through the
-:class:`~repro.instrument.codeimage.CodeImage` module metadata, per
-DBMS layer.
+layer.  Both replay engines record the same classifications into it —
+demand misses, the Figure-8 prefetch outcomes, CGHC accesses — keyed
+by the *line address* involved: the reference engine through the
+methods below, the fast engine's batched kernels by writing the same
+line-indexed count arrays (:attr:`AttributionCollector.per_line`)
+directly.  Reports fold those arrays into per-function rows through
+the :class:`~repro.layout.layouts.AddressMap` (functions occupy
+contiguous line spans, so a function's row is a slice sum) and, through
+the :class:`~repro.instrument.codeimage.CodeImage` module metadata,
+into DBMS layers.
 
-The collector deliberately has no locks, no branches on the hot path
-beyond dict/list indexing, and no engine state of its own: everything
-it reports is a pure function of the calls the engines make, which is
-what lets the cross-engine equivalence suites require bit-identical
-payloads from both cores.
+The collector has no engine state of its own: everything it reports is
+a pure function of the counts the engines record, which is what lets
+the cross-engine equivalence suites require bit-identical payloads
+from both cores.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from repro.obsv.interval import IntervalSampler
 from repro.obsv.layers import layer_of_module
@@ -52,65 +54,67 @@ class AttributionCollector:
 
     def __init__(self, layout, image=None, interval=None, lifecycle=0):
         self._image = image
-        base = layout.base_line
-        sizes = layout.size_lines
-        fid_of = [-1] * layout.total_lines
-        for fid in range(len(base)):
-            start = base[fid]
-            span = sizes[fid]
-            fid_of[start:start + span] = [fid] * span
-        self._fid_of = fid_of
-        self._rows = {}  # fid -> [counter] * len(COUNTER_NAMES)
+        self._extents = list(zip(layout.base_line, layout.size_lines))
+        total = layout.total_lines
+        #: Line-indexed counters, one list per ``COUNTER_NAMES`` slot.
+        #: The ``squashed`` slot holds every in-range prefetch *attempt*
+        #: (issued or squashed) as a difference array of length
+        #: ``total_lines + 1``: an attempt on the span ``[a, b)`` adds 1
+        #: at ``a`` and subtracts 1 at ``b``, so a batched span walk
+        #: records the lines it never visits in two writes.  A line's
+        #: squash count is its attempt coverage minus its issues.
+        self.per_line = [[0] * total for _ in range(_N)]
+        self.per_line[_SQUASHED].append(0)
         self._out_of_range = {}  # origin -> count
         self._lateness = {}  # origin -> {power-of-two bucket -> count}
         self.interval = IntervalSampler(interval) if interval else None
         self.lifecycle = PrefetchLifecycle(lifecycle) if lifecycle else None
 
-    def _row(self, fid):
-        row = self._rows.get(fid)
-        if row is None:
-            row = [0] * _N
-            self._rows[fid] = row
-        return row
-
     # ------------------------------------------------------------------
-    # engine call sites
+    # engine call sites (the reference engine; the fast engine writes
+    # ``per_line`` directly and folds the rest at kernel exit)
     # ------------------------------------------------------------------
     def demand_miss(self, line, from_mem):
-        row = self._row(self._fid_of[line])
-        row[_DEMAND] += 1
+        self.per_line[_DEMAND][line] += 1
         if from_mem:
-            row[_MEM] += 1
+            self.per_line[_MEM][line] += 1
 
     def issued(self, line, origin, cycle, arrival):
-        self._row(self._fid_of[line])[_ISSUED] += 1
+        self.per_line[_ISSUED][line] += 1
+        self.squashed(line, origin)  # an attempt, like every squash
         if self.lifecycle is not None:
             self.lifecycle.issue(line, origin, cycle, arrival)
 
     def squashed(self, line, origin):
-        self._row(self._fid_of[line])[_SQUASHED] += 1
+        attempts = self.per_line[_SQUASHED]
+        attempts[line] += 1
+        attempts[line + 1] -= 1
 
-    def out_of_range(self, origin):
+    def out_of_range(self, origin, n=1):
         # no in-range line to attribute to: counted per origin only
-        self._out_of_range[origin] = self._out_of_range.get(origin, 0) + 1
+        self._out_of_range[origin] = self._out_of_range.get(origin, 0) + n
+
+    def late(self, origin, bucket, n=1):
+        """``n`` delayed hits of ``origin`` in lateness ``bucket``."""
+        hist = self._lateness.get(origin)
+        if hist is None:
+            hist = self._lateness[origin] = {}
+        hist[bucket] = hist.get(bucket, 0) + n
 
     def pref_hit(self, line, origin, cycle):
-        self._row(self._fid_of[line])[_PREF_HIT] += 1
+        self.per_line[_PREF_HIT][line] += 1
         if self.lifecycle is not None:
             self.lifecycle.close(line, "pref_hit", cycle)
 
     def delayed_hit(self, line, origin, stall, cycle):
-        self._row(self._fid_of[line])[_DELAYED] += 1
-        bucket = int(stall).bit_length()  # 2^(b-1) <= late < 2^b
-        hist = self._lateness.get(origin)
-        if hist is None:
-            hist = self._lateness[origin] = {}
-        hist[bucket] = hist.get(bucket, 0) + 1
+        self.per_line[_DELAYED][line] += 1
+        # 2^(b-1) <= late < 2^b
+        self.late(origin, int(stall).bit_length())
         if self.lifecycle is not None:
             self.lifecycle.close(line, "delayed_hit", cycle)
 
     def useless(self, line, origin, cycle):
-        self._row(self._fid_of[line])[_USELESS] += 1
+        self.per_line[_USELESS][line] += 1
         if self.lifecycle is not None:
             self.lifecycle.close(line, "useless", cycle)
 
@@ -118,21 +122,38 @@ class AttributionCollector:
         """One CGHC access keyed by ``tag`` (a function's entry line);
         ``level`` is 0 (first-level hit), 1 (second-level hit), or 2
         (miss)."""
-        self._row(self._fid_of[tag])[_CGHC_BASE + level] += 1
+        self.per_line[_CGHC_BASE + level][tag] += 1
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
+    def _rows(self):
+        """fid -> counter row, in fid order, for every function with a
+        nonzero counter."""
+        per_line = self.per_line
+        coverage = list(accumulate(per_line[_SQUASHED]))
+        rows = {}
+        for fid, (start, span) in enumerate(self._extents):
+            end = start + span
+            row = [sum(counts[start:end]) for counts in per_line]
+            row[_SQUASHED] = sum(coverage[start:end]) - row[_ISSUED]
+            if any(row):
+                rows[fid] = row
+        return rows
+
     def _describe(self, fid):
-        if fid < 0 or self._image is None:
+        if self._image is None:
             return None, None
         info = self._image.info(fid)
         return info.name, getattr(info, "module", None)
 
     def function_table(self):
-        """fid -> {name, module, layer, counters...}, insertion order."""
+        """fid -> {name, module, layer, counters...}, in fid order."""
+        return self._function_table(self._rows())
+
+    def _function_table(self, rows):
         table = {}
-        for fid, row in self._rows.items():
+        for fid, row in rows.items():
             name, module = self._describe(fid)
             entry = {"name": name, "module": module,
                      "layer": layer_of_module(module)}
@@ -141,11 +162,14 @@ class AttributionCollector:
         return table
 
     def layer_table(self):
-        """Layer -> summed counters, sorted by demand misses."""
+        """Layer -> summed counters, by demand misses (descending), ties
+        by layer name."""
+        return self._layer_table(self._rows())
+
+    def _layer_table(self, rows):
         layers = {}
-        for fid, row in self._rows.items():
-            _name, module = self._describe(fid)
-            layer = layer_of_module(module)
+        for fid, row in rows.items():
+            layer = layer_of_module(self._describe(fid)[1])
             bucket = layers.get(layer)
             if bucket is None:
                 bucket = layers[layer] = [0] * _N
@@ -154,7 +178,7 @@ class AttributionCollector:
         return {
             layer: dict(zip(COUNTER_NAMES, counts))
             for layer, counts in sorted(
-                layers.items(), key=lambda kv: -kv[1][_DEMAND]
+                layers.items(), key=lambda kv: (-kv[1][_DEMAND], kv[0])
             )
         }
 
@@ -162,7 +186,7 @@ class AttributionCollector:
         """The k hottest functions by one counter, descending."""
         index = COUNTER_NAMES.index(by)
         ranked = sorted(
-            self._rows.items(), key=lambda kv: (-kv[1][index], kv[0])
+            self._rows().items(), key=lambda kv: (-kv[1][index], kv[0])
         )
         table = []
         for fid, row in ranked[:k]:
@@ -185,22 +209,25 @@ class AttributionCollector:
 
     def to_dict(self):
         """JSON-ready attribution payload (stable key order)."""
+        rows = self._rows()
         return {
             "schema_version": ATTRIBUTION_SCHEMA_VERSION,
             "functions": {
                 str(fid): entry
-                for fid, entry in sorted(self.function_table().items())
+                for fid, entry in self._function_table(rows).items()
             },
-            "layers": self.layer_table(),
+            "layers": self._layer_table(rows),
             "out_of_range": dict(sorted(self._out_of_range.items())),
             "lateness": {
-                origin: {str(b): n for b, n in sorted(hist.items())}
-                for origin, hist in sorted(self._lateness.items())
+                origin: {str(b): n for b, n in hist.items()}
+                for origin, hist in self.lateness_histogram().items()
             },
             "lifecycle": (None if self.lifecycle is None
                           else self.lifecycle.summary()),
             "intervals": [] if self.interval is None else self.interval.samples,
         }
+
+
 
 
 def validate_payload(payload):

@@ -33,16 +33,22 @@ class IntervalSampler:
         self._prev = (0, 0.0, 0, 0, 0, 0)
 
     def take(self, engine, partial=False):
-        """Record one sample from a live engine (both cores call this at
-        event boundaries with identical live state, so the emitted
-        samples are bit-identical across engines)."""
+        """Record one sample from a live engine."""
         stats = engine.stats
-        instructions = stats.instructions
-        cycles = engine.cycle
-        accesses = stats.line_accesses
-        misses = stats.demand_misses
+        self.record(stats.instructions, engine.cycle, stats.line_accesses,
+                    stats.demand_misses, stats.prefetch,
+                    getattr(engine.prefetcher, "cghc", None), partial)
+
+    def record(self, instructions, cycles, accesses, misses, prefetch,
+               cghc, partial=False):
+        """Record one sample from cumulative totals: ``prefetch`` is the
+        origin -> ``PrefetchStats`` map, ``cghc`` the history cache (or
+        None).  Both cores sample at event boundaries with identical
+        totals — the fast engine's kernels pass their local
+        accumulators — so the samples are bit-identical across
+        engines."""
         issued = useful = 0
-        for p in stats.prefetch.values():
+        for p in prefetch.values():
             issued += p.issued
             useful += p.pref_hits + p.delayed_hits
         p_instr, p_cycles, p_acc, p_miss, p_issued, p_useful = self._prev
@@ -52,7 +58,6 @@ class IntervalSampler:
         d_miss = misses - p_miss
         d_issued = issued - p_issued
         d_useful = useful - p_useful
-        cghc = getattr(engine.prefetcher, "cghc", None)
         self.samples.append({
             "instructions": instructions,
             "cycles": cycles,

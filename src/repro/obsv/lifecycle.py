@@ -16,6 +16,7 @@ trip, ``use - issue`` the achieved lead time, and for delayed hits
 
 from __future__ import annotations
 
+from collections import deque
 from typing import NamedTuple
 
 
@@ -29,48 +30,50 @@ class PrefetchRecord(NamedTuple):
 
 
 class PrefetchLifecycle:
-    """Ring-buffer tracer for individual prefetch lifetimes."""
+    """Ring-buffer tracer for individual prefetch lifetimes.
+
+    The state is two plain containers, which the fast engine's kernels
+    write directly: ``open`` maps each traced line to ``(origin,
+    issue_cycle, arrival_cycle)`` in issue order, and ``ring`` holds
+    the closed records as ``(line, open record, outcome, end_cycle)``,
+    oldest first, dropping the oldest once full.
+    """
 
     def __init__(self, capacity=4096):
         if capacity <= 0:
             raise ValueError("lifecycle ring capacity must be positive")
         self.capacity = capacity
-        self._ring = []
-        self._next = 0  # overwrite cursor once the ring is full
-        self._open = {}  # line -> (origin, issue_cycle, arrival_cycle)
+        self.ring = deque(maxlen=capacity)
+        self.open = {}
         self.recorded = 0
-        self.dropped = 0
+
+    @property
+    def dropped(self):
+        """Closed records overwritten by newer ones."""
+        return self.recorded - len(self.ring)
 
     def issue(self, line, origin, issue_cycle, arrival_cycle):
-        self._open[line] = (origin, issue_cycle, arrival_cycle)
+        self.open[line] = (origin, issue_cycle, arrival_cycle)
 
     def close(self, line, outcome, end_cycle):
-        opened = self._open.pop(line, None)
+        opened = self.open.pop(line, None)
         if opened is None:
             return  # issued before tracing started; nothing to close
-        origin, issue_cycle, arrival_cycle = opened
-        record = PrefetchRecord(
-            line, origin, issue_cycle, arrival_cycle, outcome, end_cycle
-        )
+        self.ring.append((line, opened, outcome, end_cycle))
         self.recorded += 1
-        if len(self._ring) < self.capacity:
-            self._ring.append(record)
-        else:
-            self._ring[self._next] = record
-            self._next = (self._next + 1) % self.capacity
-            self.dropped += 1
 
     def records(self):
         """Closed records, oldest first."""
-        return self._ring[self._next:] + self._ring[:self._next]
+        return [PrefetchRecord(line, *opened, outcome, end_cycle)
+                for line, opened, outcome, end_cycle in self.ring]
 
     def open_count(self):
-        return len(self._open)
+        return len(self.open)
 
     def summary(self):
         return {
             "capacity": self.capacity,
             "recorded": self.recorded,
             "dropped": self.dropped,
-            "open": len(self._open),
+            "open": len(self.open),
         }

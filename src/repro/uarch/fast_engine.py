@@ -44,6 +44,16 @@ removes that per-event work without changing a single observable number:
   are inlined on the flat CGHC arrays, with one function-head walk
   shared by the call and return sides.
 
+Observation rides the same kernels.  With an
+:class:`~repro.obsv.collector.AttributionCollector` attached, each
+kernel records the outcomes it already classifies — demand misses,
+first touches, delayed hits, evictions of untouched lines, issues,
+squashes, CGHC probes — into the collector's line-indexed count arrays
+and lifecycle ring, where a batched span walk records the squashes it
+never visits as one covered span.  A batched event reorders nothing the
+payload can see: its first-touch closes and its span's issues touch
+disjoint lines at a frozen clock.
+
 Each specialization is kept only while it pays: ``docs/BENCHMARKS.md``
 ("What each specialization is worth") tabulates what forcing each one
 off costs on ``bench/run.py``, and lists the ones deleted for doing no
@@ -58,15 +68,15 @@ prefetcher class) falls through to an inlined transcription — or the
 actual hook call — of the reference classification.  The cross-engine
 suites in ``tests/uarch/test_engine_equivalence.py`` and
 ``tests/harness/test_engine_equivalence.py`` enforce
-``SimStats.to_dict()`` equality on golden workloads and randomized
-traces.
+``SimStats.to_dict()`` and attribution payload equality on golden
+workloads and randomized traces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from heapq import heappop, heappush
 
 import numpy as _np
@@ -87,12 +97,6 @@ OP_EXEC = EXEC
 OP_CALL = CALL
 OP_RET = RET
 OP_SWITCH = SWITCH
-
-# ``_state`` bits: a line is 0 when absent, RESIDENT while cached, and
-# RESIDENT|UNTOUCHED while cached but never referenced since its
-# prefetch arrived.
-_RESIDENT = 1
-_UNTOUCHED = 2
 
 
 class CompiledTrace:
@@ -369,57 +373,16 @@ class FastFetchEngine(FetchEngine):
         self._stamp = [0] * total
         self._ctr = 0
 
-    def _install(self, line, origin=None):
-        """Reference ``_install`` on the stamp/slot representation.
-
-        Only used outside ``run()`` (the run loop inlines this); kept
-        so the inherited access machinery stays usable on this engine.
-        """
-        l1 = self.l1i
-        ways = l1.ways
-        assoc = l1.assoc
-        base = (line % l1.n_sets) * assoc
-        end = base + assoc
-        stamp = self._stamp
-        w = base
-        while w < end and ways[w] >= 0:
-            w += 1
-        if w < end:
-            ways[w] = line
-        else:
-            vs = base
-            vmin = stamp[ways[base]]
-            w = base + 1
-            while w < end:
-                sv = stamp[ways[w]]
-                if sv < vmin:
-                    vmin = sv
-                    vs = w
-                w += 1
-            victim = ways[vs]
-            ways[vs] = line
-            if self._state[victim] & _UNTOUCHED:
-                vo = self._untouched.pop(victim)
-                self.stats.prefetch_origin(vo).useless += 1
-                if self.collector is not None:
-                    self.collector.useless(victim, vo, self.cycle)
-            self._state[victim] = 0
-        stamp[line] = self._ctr
-        self._ctr += 1
-        if origin is not None:
-            self._untouched[line] = origin
-            self._state[line] = _RESIDENT | _UNTOUCHED
-        else:
-            self._state[line] = _RESIDENT
-
     def issue_prefetch(self, line, origin, delay=0):
-        """Reference semantics with the O(1) residency probe."""
+        """Reference semantics with the O(1) residency probe.
+
+        Called by the prefetcher hooks the kernels do not inline.  An
+        out-of-range request reaches the collector through the kernel's
+        exit fold of the ``SimStats`` deltas, like the inlined ones."""
         stats = self.stats.prefetch_origin(origin)
         collector = self.collector
         if line < 0 or line >= self.layout.total_lines:
             stats.out_of_range += 1
-            if collector is not None:
-                collector.out_of_range(origin)
             return False
         if line in self._in_flight or self._state[line]:
             stats.squashed += 1
@@ -438,12 +401,13 @@ class FastFetchEngine(FetchEngine):
         return True
 
     def prefetch_function_head(self, fid, n_lines, origin, delay=0):
-        """Batched head prefetch (CGP's CGHC-triggered requests)."""
+        """Batched head prefetch (CGP's CGHC-triggered requests).  A
+        function's head lines are always inside the address space, so
+        every request squashes or issues."""
         stats = self.stats.prefetch_origin(origin)
         start = self.layout.base_line[fid]
         span = self.layout.size_lines[fid]
         count = n_lines if n_lines < span else span
-        total_lines = self.layout.total_lines
         in_flight = self._in_flight
         state = self._state
         iflag = self._iflag
@@ -452,11 +416,7 @@ class FastFetchEngine(FetchEngine):
         now = self.cycle + delay
         collector = self.collector
         for line in range(start, start + count):
-            if line < 0 or line >= total_lines:
-                stats.out_of_range += 1
-                if collector is not None:
-                    collector.out_of_range(origin)
-            elif line in in_flight or state[line]:
+            if line in in_flight or state[line]:
                 stats.squashed += 1
                 if collector is not None:
                     collector.squashed(line, origin)
@@ -468,20 +428,6 @@ class FastFetchEngine(FetchEngine):
                 stats.issued += 1
                 if collector is not None:
                     collector.issued(line, origin, now, completion)
-
-    def _deliver_arrivals(self):
-        """Reference semantics plus the ``_iflag`` mirror update."""
-        arrivals = self._arrivals
-        in_flight = self._in_flight
-        iflag = self._iflag
-        now = self.cycle
-        while arrivals and arrivals[0][0] <= now:
-            _arrival, line = heappop(arrivals)
-            record = in_flight.pop(line, None)
-            if record is None:
-                continue  # superseded (already delivered via delayed hit)
-            iflag[line] = 0
-            self._install(line, record[1])
 
     def _rebuild_l1_order(self):
         """Sort each set's way slots back into reference recency order
@@ -498,267 +444,45 @@ class FastFetchEngine(FetchEngine):
                     [-1] * (assoc - len(slots)) + slots
                 )
 
-    def _access_observed(self, line):
-        """Reference ``_access`` on the state-byte/stamp representation,
-        with the collector call sites of the reference engine.
-
-        The resident-hit path mirrors ``SetAssocCache.lookup`` (count a
-        hit, refresh recency — here: the stamp); the miss paths mirror
-        the reference delayed-hit / demand-miss classification exactly,
-        calling the same collector methods with the same arguments in
-        the same order, so attribution payloads match bit for bit.
-        """
-        stats = self.stats
-        stats.line_accesses += 1
-        missed = False
-        first_touch = False
-        if self._arrivals:
-            self._deliver_arrivals()  # installs via the stamp _install
-        l1 = self.l1i
-        if self._state[line]:
-            l1.hits += 1
-            self._stamp[line] = self._ctr
-            self._ctr += 1
-            if self._state[line] & _UNTOUCHED:
-                self._state[line] = _RESIDENT
-                origin = self._untouched.pop(line)
-                stats.prefetch_origin(origin).pref_hits += 1
-                first_touch = True
-                if self.collector is not None:
-                    self.collector.pref_hit(line, origin, self.cycle)
-        else:
-            l1.misses += 1
-            record = self._in_flight.pop(line, None)
-            if record is not None:
-                self._iflag[line] = 0
-                arrival, origin = record
-                stall = arrival - self.cycle
-                if stall > 0:
-                    self.cycle += stall
-                    stats.stall_cycles += stall
-                stats.prefetch_origin(origin).delayed_hits += 1
-                first_touch = True
-                if self.collector is not None:
-                    self.collector.delayed_hit(line, origin, stall, self.cycle)
-                self._install(line)  # referenced: not "untouched"
-            else:
-                missed = True
-                completion, from_mem = self.memsys.request(
-                    line, self.cycle, is_prefetch=False
-                )
-                stats.demand_misses += 1
-                if from_mem:
-                    stats.memory_fetches += 1
-                else:
-                    stats.l2_hits += 1
-                stall = completion - self.cycle
-                self.cycle += stall
-                stats.stall_cycles += stall
-                if self.collector is not None:
-                    self.collector.demand_miss(line, from_mem)
-                self._install(line)
-        self.last_access_missed = missed
-        self.last_access_first_touch = first_touch
-        self.prefetcher.on_line_access(line, self)
-
-    def _run_observed(self, compiled, ev0, ev1, finalize):
-        """Instrumented kernel: the reference event loop replayed over
-        the compiled arrays.
-
-        With a collector attached, batching would reorder or merge the
-        very events being observed, so this kernel trades the fast
-        paths for fidelity: engine state (``cycle``, ``stats``, RAS,
-        in-flight/untouched maps) stays live at every event, real
-        prefetcher hooks run (they flow through the instrumented
-        ``issue_prefetch``/``prefetch_function_head``), and every
-        floating-point operation matches the reference engine's order —
-        the equivalence suites require identical ``SimStats`` *and*
-        identical attribution payloads across engines.
-        """
-        config = self.config
-        stats = self.stats
-        prefetcher = self.prefetcher
+    def _fold_observation(self, late, out_of_range_before):
+        """Hand the collector what a kernel counted per origin rather
+        than per line: out-of-range requests (the ``SimStats`` deltas
+        since kernel entry) and the lateness buckets of delayed hits,
+        which the kernel keys by the issuing origin's stats row."""
         collector = self.collector
-        sampler = collector.interval
-        cpi = self._cpi
-        instr_scale = self.layout.instr_scale
-        overhead_instrs = config.call_overhead_instrs * instr_scale
-        overhead_cycles = overhead_instrs * cpi
-        penalty = config.mispredict_penalty
-        perfect = config.perfect_icache
-        base = self.layout.base_line
-        ras = self.ras
-        access = self._access_observed
+        origin_of = {}
+        for origin, row in self.stats.prefetch.items():
+            origin_of[id(row)] = origin
+            n = row.out_of_range - out_of_range_before.get(origin, 0)
+            if n:
+                collector.out_of_range(origin, n)
+        for row_id, buckets in late.items():
+            for bucket, n in enumerate(buckets):
+                if n:
+                    collector.late(origin_of[row_id], bucket, n)
 
-        # CGP hooks on the flat CGHC arrays (exact class, finite
-        # direct-mapped only): attribution still flows through the real
-        # instrumented issue path — only the dict probe is flattened.
-        from repro.core.cgp import ORIGIN_CGHC, CgpPrefetcher
-
-        cgp_flat = (
-            not perfect
-            and type(prefetcher) is CgpPrefetcher
-            and not prefetcher.cghc.infinite
-            and prefetcher.cghc.l1.ways == 1
-        )
-        if cgp_flat:
-            from repro.core.cghc import FlatCghc
-
-            cghc = prefetcher.cghc
-            cg_flat = FlatCghc.from_cache(cghc)
-            cghc._live_flat = cg_flat
-            cg_ensure = cg_flat.ensure
-            f1_tag = cg_flat.l1_tag
-            f1_idx = cg_flat.l1_idx
-            f1_len = cg_flat.l1_len
-            f1_seq = cg_flat.l1_seq
-            cg_K = cg_flat.slots
-            cg_lat1 = cg_flat.lat1
-            cg_set1 = _cghc_set_tables(
-                self.layout, cg_flat.n1, cg_flat.n2
-            )[0]
-            entry_lines = prefetcher._entry
-            cgp_n = prefetcher.lines_per_prefetch
-            cg_access = collector.cghc_access
-            head_prefetch = self.prefetch_function_head
-
-        ops = compiled.ops
-        ea = compiled.ea
-        eb = compiled.eb
-        n_scaled = compiled.n_scaled
-        seg_start = compiled.seg_start
-        seg_end = compiled.seg_end
-        lines = compiled.lines
-        callsite = compiled.callsite
-
-        for i in range(ev0, ev1):
-            op = ops[i]
-            if op == OP_EXEC:
-                nf = n_scaled[i]
-                stats.instructions += nf
-                d = nf * cpi
-                self.cycle += d
-                stats.fetch_cycles += d
-                if not perfect:
-                    for p in range(seg_start[i], seg_end[i]):
-                        access(lines[p])
-            elif op == OP_CALL:
-                stats.calls += 1
-                stats.instructions += overhead_instrs
-                self.cycle += overhead_cycles
-                stats.fetch_cycles += overhead_cycles
-                caller = eb[i]
-                predicted = self._predict_ok()
-                if not predicted:
-                    stats.mispredicted_calls += 1
-                    self.cycle += penalty
-                    stats.mispredict_cycles += penalty
-                if caller >= 0:
-                    ras.push(callsite[i], base[caller], caller)
-                if not perfect:
-                    if cgp_flat:
-                        # ---- inlined CgpPrefetcher.on_call ----
-                        if predicted:
-                            callee = ea[i]
-                            # prefetch access keyed by the target
-                            tag = entry_lines[callee]
-                            cs1 = cg_set1[callee]
-                            if f1_tag[cs1] == tag:
-                                cg_flat.l1_hits += 1
-                                latency = cg_lat1
-                                cg_access(tag, 0)
-                            else:
-                                latency, level = cg_ensure(tag)
-                                cg_access(tag, level)
-                            if f1_len[cs1]:
-                                head_prefetch(
-                                    f1_seq[cs1 * cg_K], cgp_n,
-                                    ORIGIN_CGHC, delay=latency + 1,
-                                )
-                            # update access keyed by the caller
-                            if caller >= 0:
-                                tag = entry_lines[caller]
-                                cs1 = cg_set1[caller]
-                                if f1_tag[cs1] == tag:
-                                    cg_flat.l1_hits += 1
-                                    cg_access(tag, 0)
-                                else:
-                                    level = cg_ensure(tag)[1]
-                                    cg_access(tag, level)
-                                # inlined CghcEntry.record_call
-                                slot = f1_idx[cs1] - 1
-                                if slot < cg_K:
-                                    f1_seq[cs1 * cg_K + slot] = callee
-                                    if slot == f1_len[cs1]:
-                                        f1_len[cs1] = slot + 1
-                                    f1_idx[cs1] = slot + 2
-                    else:
-                        prefetcher.on_call(caller, ea[i], predicted, self)
-            elif op == OP_RET:
-                stats.returns += 1
-                stats.instructions += overhead_instrs
-                self.cycle += overhead_cycles
-                stats.fetch_cycles += overhead_cycles
-                entry = ras.pop()
-                actual_caller = eb[i]
-                predicted = entry is not None and (
-                    actual_caller < 0 or entry.caller_fid == actual_caller
-                )
-                if not predicted:
-                    self.cycle += penalty
-                    stats.mispredict_cycles += penalty
-                if not perfect:
-                    if cgp_flat:
-                        # ---- inlined CgpPrefetcher.on_return ----
-                        if predicted:
-                            if entry is not None:
-                                # prefetch access keyed by the caller's
-                                # start address from the modified RAS
-                                tag = entry.caller_start_line
-                                cs1 = cg_set1[entry.caller_fid]
-                                if f1_tag[cs1] == tag:
-                                    cg_flat.l1_hits += 1
-                                    latency = cg_lat1
-                                    cg_access(tag, 0)
-                                else:
-                                    latency, level = cg_ensure(tag)
-                                    cg_access(tag, level)
-                                # inlined CghcEntry.predicted_next
-                                slot = f1_idx[cs1] - 1
-                                if slot < f1_len[cs1]:
-                                    head_prefetch(
-                                        f1_seq[cs1 * cg_K + slot],
-                                        cgp_n, ORIGIN_CGHC,
-                                        delay=latency + 1,
-                                    )
-                            # update access keyed by the returner
-                            ret_fid = ea[i]
-                            tag = entry_lines[ret_fid]
-                            cs1 = cg_set1[ret_fid]
-                            if f1_tag[cs1] == tag:
-                                cg_flat.l1_hits += 1
-                                cg_access(tag, 0)
-                            else:
-                                level = cg_ensure(tag)[1]
-                                cg_access(tag, level)
-                            # inlined CghcEntry.reset_index
-                            f1_idx[cs1] = 1
-                    else:
-                        prefetcher.on_return(ea[i], entry, predicted, self)
-            # OP_SWITCH: hardware state is shared across threads
-            if sampler is not None and stats.instructions >= sampler.next_at:
-                sampler.take(self)
-
-        if cgp_flat:
-            # canonical dict representation (plus counter deltas) must
-            # be restored before ``_finalize`` reads the CGHC totals —
-            # and before any snapshot can observe the cache
-            cg_flat.write_back(cghc)
-            cghc._live_flat = None
-        self._rebuild_l1_order()
-        if finalize:
-            self._finalize()
-        return stats
+    def _finalize(self):
+        collector = self.collector
+        if collector is not None and collector.lifecycle is not None:
+            # The reference closes the prefetches still open at the end
+            # in its maps' insertion order — untouched lines in delivery
+            # order, then in-flight lines in issue order — and the flat
+            # lifecycle rebuilds both maps in line order.  An untouched
+            # line still carries the stamp its delivery installed, and
+            # the lifecycle's open records are in issue order.
+            untouched = self._untouched
+            self._untouched = {
+                line: untouched[line]
+                for line in sorted(untouched, key=self._stamp.__getitem__)
+            }
+            issue_order = {
+                line: n for n, line in enumerate(collector.lifecycle.open)
+            }
+            self._in_flight = dict(sorted(
+                self._in_flight.items(),
+                key=lambda item: issue_order.get(item[0], -1),
+            ))
+        super()._finalize()
 
     def run(self, trace):
         return self.run_range(trace, 0, None)
@@ -782,10 +506,6 @@ class FastFetchEngine(FetchEngine):
             raise SimulationError("event range outside the trace")
         if finalize is None:
             finalize = ev1 == compiled.n_events
-        if self.collector is not None:
-            # observation disables the batched fast paths; the
-            # collection-off kernels below stay byte-for-byte untouched
-            return self._run_observed(compiled, ev0, ev1, finalize)
         config = self.config
         stats = self.stats
         prefetcher = self.prefetcher
@@ -860,6 +580,38 @@ class FastFetchEngine(FetchEngine):
         l2_hits = 0
         memory_fetches = 0
 
+        # ---- observation ----
+        # With a collector attached, the kernels record what they
+        # classify into its line-indexed counters (squashes as attempt
+        # coverage: a span walk writes its two ends), the lifecycle
+        # ring, and a kernel-local lateness tally that
+        # ``_fold_observation`` hands over with the out-of-range deltas
+        # at exit.  Interval samples come from one compare at the top of
+        # each event: the state there is the state after the previous
+        # event, where the reference samples.
+        collector = self.collector
+        obs = collector is not None
+        _inf = float("inf")
+        s_next = _inf
+        if obs:
+            (o_dem, o_mem, o_ph, o_dly, o_use, o_att, o_iss,
+             *o_cghc) = collector.per_line  # o_cghc: one list per level
+            o_cg0 = o_cghc[0]
+            # id of the origin's stats row -> delayed hits per bucket
+            o_late = defaultdict(lambda: [0] * 64)
+            oor0 = {org: row.out_of_range for org, row in sprefetch.items()}
+            lifecycle = collector.lifecycle
+            lc = lifecycle is not None
+            if lc:
+                lc_open = lifecycle.open
+                lc_pop = lc_open.pop
+                lc_ring = lifecycle.ring.append
+                lc_n = 0  # closed records, added to ``recorded`` at exit
+            sampler = collector.interval
+            if sampler is not None:
+                s_next = sampler.next_at
+                s_cghc = getattr(prefetcher, "cghc", None)
+
         if (
             not perfect
             and not line_hook
@@ -885,6 +637,14 @@ class FastFetchEngine(FetchEngine):
             l2h = 0
             l2m = 0
             for i in range(ev0, ev1):
+                if obs and instructions >= s_next:
+                    sampler.record(
+                        instructions, cycle,
+                        stats.line_accesses + line_accesses,
+                        stats.demand_misses + demand_misses,
+                        sprefetch, s_cghc,
+                    )
+                    s_next = sampler.next_at
                 op = ops[i]
                 if op == OP_EXEC:
                     nf = n_scaled[i]
@@ -917,6 +677,8 @@ class FastFetchEngine(FetchEngine):
                             continue
                         miss_count += 1
                         demand_misses += 1
+                        if obs:
+                            o_dem[line] += 1
                         # inlined MemorySystem.request (non-priority)
                         start_t = (
                             cycle if cycle > port_free else port_free
@@ -950,6 +712,8 @@ class FastFetchEngine(FetchEngine):
                                 memory_fetches += 1
                                 l2_insert(line)
                                 completion = start_t + hit_lat + mem_lat
+                                if obs:
+                                    o_mem[line] += 1
                         stall = completion - cycle
                         cycle += stall
                         stall_cycles += stall
@@ -1146,7 +910,6 @@ class FastFetchEngine(FetchEngine):
             # completion time of the earliest outstanding prefetch,
             # hoisted out of the arrival heap: the per-line delivery
             # gate becomes one float compare
-            _inf = float("inf")
             next_due = arrivals[0][0] if arrivals else _inf
 
             # ---- flat prefetch lifecycle ----
@@ -1179,6 +942,14 @@ class FastFetchEngine(FetchEngine):
                     u_ps[fl] = sprefetch[fo]
 
             for i in range(ev0, ev1):
+                if obs and instructions >= s_next:
+                    sampler.record(
+                        instructions, cycle,
+                        stats.line_accesses + line_accesses,
+                        stats.demand_misses + demand_misses,
+                        sprefetch, s_cghc,
+                    )
+                    s_next = sampler.next_at
                 op = ops[i]
                 if op == OP_EXEC:
                     nf = n_scaled[i]
@@ -1250,6 +1021,14 @@ class FastFetchEngine(FetchEngine):
                                         else:
                                             vo = untouched_pop(victim)
                                             sprefetch[vo].useless += 1
+                                        if obs:
+                                            o_use[victim] += 1
+                                            if lc:
+                                                lc_n += 1
+                                                lc_ring((
+                                                    victim, lc_pop(victim),
+                                                    "useless", cycle,
+                                                ))
                                     state[victim] = 0
                                 state[aline] = 3
                                 stamp[aline] = ctr
@@ -1284,6 +1063,14 @@ class FastFetchEngine(FetchEngine):
                                         sprefetch[
                                             untouched_pop(z)
                                         ].pref_hits += 1
+                                    if obs:
+                                        o_ph[z] += 1
+                                        if lc:
+                                            lc_n += 1
+                                            lc_ring((
+                                                z, lc_pop(z),
+                                                "pref_hit", cycle,
+                                            ))
                                     z = state.find(3, z + 1, aend)
                             if not nl_inline:
                                 continue
@@ -1313,6 +1100,9 @@ class FastFetchEngine(FetchEngine):
                             if t1 > t1c:
                                 ps_nl.out_of_range += t1 - t1c
                             squash = t1c - t0
+                            if obs:
+                                o_att[t0] += 1
+                                o_att[t1c] -= 1
                             tz = state.find(0, t0, t1c)
                             while tz >= 0 and iflag[tz]:
                                 tz = state.find(0, tz + 1, t1c)
@@ -1368,6 +1158,12 @@ class FastFetchEngine(FetchEngine):
                                 if completion < next_due:
                                     next_due = completion
                                 ps_nl.issued += 1
+                                if obs:
+                                    o_iss[tz] += 1
+                                    if lc:
+                                        lc_open[tz] = (
+                                            nl_origin, cycle, completion
+                                        )
                                 tz = state.find(0, tz + 1, t1c)
                                 while tz >= 0 and iflag[tz]:
                                     tz = state.find(0, tz + 1, t1c)
@@ -1416,6 +1212,14 @@ class FastFetchEngine(FetchEngine):
                                         else:
                                             vo = untouched_pop(victim)
                                             sprefetch[vo].useless += 1
+                                        if obs:
+                                            o_use[victim] += 1
+                                            if lc:
+                                                lc_n += 1
+                                                lc_ring((
+                                                    victim, lc_pop(victim),
+                                                    "useless", cycle,
+                                                ))
                                     state[victim] = 0
                                 state[aline] = 3  # resident+untouched
                                 stamp[aline] = ctr
@@ -1443,6 +1247,14 @@ class FastFetchEngine(FetchEngine):
                                     sprefetch[
                                         untouched_pop(line)
                                     ].pref_hits += 1
+                                if obs:
+                                    o_ph[line] += 1
+                                    if lc:
+                                        lc_n += 1
+                                        lc_ring((
+                                            line, lc_pop(line),
+                                            "pref_hit", cycle,
+                                        ))
                                 first_touch = True
                             else:
                                 first_touch = False
@@ -1453,19 +1265,33 @@ class FastFetchEngine(FetchEngine):
                                 iflag[line] = 0
                                 if fast_life:
                                     arrival = if_comp[line]
-                                    if_ps[line].delayed_hits += 1
+                                    ps = if_ps[line]
                                 else:
                                     arrival, origin0 = in_flight.pop(line)
-                                    sprefetch[origin0].delayed_hits += 1
+                                    ps = sprefetch[origin0]
+                                ps.delayed_hits += 1
                                 stall = arrival - cycle
                                 if stall > 0:
                                     cycle += stall
                                     stall_cycles += stall
+                                if obs:
+                                    o_dly[line] += 1
+                                    o_late[id(ps)][
+                                        int(stall).bit_length()
+                                    ] += 1
+                                    if lc:
+                                        lc_n += 1
+                                        lc_ring((
+                                            line, lc_pop(line),
+                                            "delayed_hit", cycle,
+                                        ))
                                 first_touch = True
                                 missed = False
                             else:
                                 # demand miss
                                 demand_misses += 1
+                                if obs:
+                                    o_dem[line] += 1
                                 if inline_mem:
                                     # inlined MemorySystem.request
                                     start_t = (
@@ -1503,12 +1329,16 @@ class FastFetchEngine(FetchEngine):
                                         completion = (
                                             start_t + m_hit_lat + m_mem_lat
                                         )
+                                        if obs:
+                                            o_mem[line] += 1
                                 else:
                                     completion, from_mem = memsys_request(
                                         line, cycle, is_prefetch=False
                                     )
                                     if from_mem:
                                         memory_fetches += 1
+                                        if obs:
+                                            o_mem[line] += 1
                                     else:
                                         l2_hits += 1
                                 stall = completion - cycle
@@ -1542,6 +1372,14 @@ class FastFetchEngine(FetchEngine):
                                     else:
                                         vo = untouched_pop(victim)
                                         sprefetch[vo].useless += 1
+                                    if obs:
+                                        o_use[victim] += 1
+                                        if lc:
+                                            lc_n += 1
+                                            lc_ring((
+                                                victim, lc_pop(victim),
+                                                "useless", cycle,
+                                            ))
                                 state[victim] = 0
                             state[line] = 1
                             stamp[line] = ctr
@@ -1559,6 +1397,9 @@ class FastFetchEngine(FetchEngine):
                                     ps_nl.out_of_range += 1
                                 elif state[pl] or iflag[pl]:
                                     ps_nl.squashed += 1
+                                    if obs:
+                                        o_att[pl] += 1
+                                        o_att[pl + 1] -= 1
                                 else:
                                     if inline_mem:
                                         start_t = (
@@ -1614,6 +1455,14 @@ class FastFetchEngine(FetchEngine):
                                     if completion < next_due:
                                         next_due = completion
                                     ps_nl.issued += 1
+                                    if obs:
+                                        o_att[pl] += 1
+                                        o_att[pl + 1] -= 1
+                                        o_iss[pl] += 1
+                                        if lc:
+                                            lc_open[pl] = (
+                                                nl_origin, cycle, completion
+                                            )
                                 nl_last = line
                             elif line != nl_last:
                                 # jump: fan out over the full window
@@ -1643,6 +1492,9 @@ class FastFetchEngine(FetchEngine):
                                     if t1 > t1c:
                                         ps_nl.out_of_range += t1 - t1c
                                     squash = t1c - t0
+                                    if obs:
+                                        o_att[t0] += 1
+                                        o_att[t1c] -= 1
                                     tz = state.find(0, t0, t1c)
                                     while tz >= 0 and iflag[tz]:
                                         tz = state.find(
@@ -1724,6 +1576,13 @@ class FastFetchEngine(FetchEngine):
                                         if completion < next_due:
                                             next_due = completion
                                         ps_nl.issued += 1
+                                        if obs:
+                                            o_iss[tz] += 1
+                                            if lc:
+                                                lc_open[tz] = (
+                                                    nl_origin, cycle,
+                                                    completion,
+                                                )
                                         tz = state.find(
                                             0, tz + 1, t1c
                                         )
@@ -1800,12 +1659,16 @@ class FastFetchEngine(FetchEngine):
                     if f1_tag[cs1] == tag:
                         cg_h1 += 1
                         latency = cg_lat1
+                        if obs:
+                            o_cg0[tag] += 1
                     else:
-                        latency = cg_ensure(tag)[0]
+                        latency, level = cg_ensure(tag)
+                        if obs:
+                            o_cghc[level][tag] += 1
                     # prefetch_function_head(first_callee), walked below
                     if f1_len[cs1]:
                         head = f1_seq[cs1 * cg_K]
-                        now2 = cycle + latency + 1
+                        now2 = cycle + (latency + 1)
                     else:
                         head = -1
                     # update access keyed by the caller
@@ -1814,8 +1677,12 @@ class FastFetchEngine(FetchEngine):
                         cs1 = cg_set1[caller]
                         if f1_tag[cs1] == tag:
                             cg_h1 += 1
+                            if obs:
+                                o_cg0[tag] += 1
                         else:
-                            cg_ensure(tag)
+                            level = cg_ensure(tag)[1]
+                            if obs:
+                                o_cghc[level][tag] += 1
                         # inlined CghcEntry.record_call
                         slot = f1_idx[cs1] - 1
                         if slot < cg_K:
@@ -1869,13 +1736,17 @@ class FastFetchEngine(FetchEngine):
                     if f1_tag[cs1] == tag:
                         cg_h1 += 1
                         latency = cg_lat1
+                        if obs:
+                            o_cg0[tag] += 1
                     else:
-                        latency = cg_ensure(tag)[0]
+                        latency, level = cg_ensure(tag)
+                        if obs:
+                            o_cghc[level][tag] += 1
                     # inlined CghcEntry.predicted_next, walked below
                     slot = f1_idx[cs1] - 1
                     if slot < f1_len[cs1]:
                         head = f1_seq[cs1 * cg_K + slot]
-                        now2 = cycle + latency + 1
+                        now2 = cycle + (latency + 1)
                     else:
                         head = -1
                     # update access keyed by the returner
@@ -1884,8 +1755,12 @@ class FastFetchEngine(FetchEngine):
                     cs1 = cg_set1[ret_fid]
                     if f1_tag[cs1] == tag:
                         cg_h1 += 1
+                        if obs:
+                            o_cg0[tag] += 1
                     else:
-                        cg_ensure(tag)
+                        level = cg_ensure(tag)[1]
+                        if obs:
+                            o_cghc[level][tag] += 1
                     # inlined CghcEntry.reset_index
                     f1_idx[cs1] = 1
                 else:
@@ -1901,7 +1776,9 @@ class FastFetchEngine(FetchEngine):
                 # to the targets that issue, every skipped line squashes
                 # (head lines are always in range, the ``head_extents``
                 # clamp), and ascending order IS the reference's
-                # per-target FIFO-port issue order.
+                # per-target FIFO-port issue order.  CGP inlining implies
+                # ``fast_life`` (its NL component is inlined too), so the
+                # records go to the flat lifecycle arrays.
                 if head < 0:
                     continue
                 if ps_cg is None:
@@ -1909,6 +1786,9 @@ class FastFetchEngine(FetchEngine):
                 end2 = cg_head_end[head]
                 pl = base[head]
                 squash = end2 - pl
+                if obs:
+                    o_att[pl] += 1
+                    o_att[end2] -= 1
                 pl = state.find(0, pl, end2)
                 while pl >= 0 and iflag[pl]:
                     pl = state.find(0, pl + 1, end2)
@@ -1945,16 +1825,17 @@ class FastFetchEngine(FetchEngine):
                         completion, _mem = memsys_request(
                             pl, now2, is_prefetch=True
                         )
-                    if fast_life:
-                        if_comp[pl] = completion
-                        if_ps[pl] = ps_cg
-                    else:
-                        in_flight[pl] = (completion, cg_origin)
+                    if_comp[pl] = completion
+                    if_ps[pl] = ps_cg
                     iflag[pl] = 1
                     heappush(arrivals, (completion, pl))
                     if completion < next_due:
                         next_due = completion
                     ps_cg.issued += 1
+                    if obs:
+                        o_iss[pl] += 1
+                        if lc:
+                            lc_open[pl] = (cg_origin, now2, completion)
                     pl = state.find(0, pl + 1, end2)
                     while pl >= 0 and iflag[pl]:
                         pl = state.find(0, pl + 1, end2)
@@ -2017,6 +1898,12 @@ class FastFetchEngine(FetchEngine):
         l1.hits += hit_count
         l1.misses += miss_count
 
+        if obs:
+            self._fold_observation(o_late, oor0)
+            if lc:
+                lifecycle.recorded += lc_n
+            if instructions >= s_next:
+                sampler.take(self)  # the last event's boundary
         self._rebuild_l1_order()
         if finalize:
             self._finalize()

@@ -62,34 +62,51 @@ def test_fig4_cells_identical_across_engines(small_runner, layout_name,
     assert ref.to_dict() == fast.to_dict()
 
 
-@pytest.mark.parametrize("suite", SUITES)
-def test_golden_cell_attribution_identical_across_engines(small_runner,
-                                                          suite):
+# every suite's golden cell, plus the fig4 bracket on the profiling
+# workload: the no-hook kernel (no prefetcher), the hook path (tagged
+# NL), run-ahead NL and a second CGP degree
+ATTRIBUTION_CELLS = (
+    [pytest.param(suite, *GOLDEN_CELL, id=suite) for suite in SUITES]
+    + [pytest.param("wisc-prof", layout_name, pspec,
+                    id=f"wisc-prof-{layout_name}-"
+                       f"{pspec[0] if pspec else 'none'}")
+       for layout_name, pspec in EXTRA_CELLS]
+)
+
+
+@pytest.mark.parametrize("suite,layout_name,pspec", ATTRIBUTION_CELLS)
+def test_golden_cell_attribution_identical_across_engines(
+        small_runner, suite, layout_name, pspec):
     """Collection enabled on the real workloads: identical ``SimStats``
     to the uninstrumented run, identical attribution payloads (layer
     tables, lateness histograms, interval samples, lifecycle traces)
     across both engines, and a payload that passes schema validation."""
     art = small_runner.artifacts(suite)
-    layout = art.layout(GOLDEN_CELL[0])
+    layout = art.layout(layout_name)
     plain = simulate(
         art.trace, layout, small_runner.sim_config,
-        prefetcher=_make_prefetcher(GOLDEN_CELL[1], layout, "CGHC-2K+32K"),
+        prefetcher=_make_prefetcher(pspec, layout, "CGHC-2K+32K"),
         engine="fast",
     )
     payloads = {}
+    records = {}
     for engine in ("reference", "fast"):
         collector = AttributionCollector(
             layout, image=art.image, interval=200_000, lifecycle=512
         )
         stats = simulate(
             art.trace, layout, small_runner.sim_config,
-            prefetcher=_make_prefetcher(GOLDEN_CELL[1], layout,
-                                        "CGHC-2K+32K"),
+            prefetcher=_make_prefetcher(pspec, layout, "CGHC-2K+32K"),
             engine=engine, collector=collector,
         )
         assert stats.to_dict() == plain.to_dict()
         payloads[engine] = validate_payload(collector.to_dict())
+        records[engine] = collector.lifecycle.records()
     assert payloads["reference"] == payloads["fast"]
+    assert records["reference"] == records["fast"]
+    # layers in the same order, not only with the same counts
+    assert list(payloads["reference"]["layers"]) == list(
+        payloads["fast"]["layers"])
     # the layer split actually resolved DBMS layers (module metadata
     # survived the freeze/expand pipeline); the recovery workload never
     # enters the query front-end — its trace is storage-layer only

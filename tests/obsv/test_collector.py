@@ -64,6 +64,20 @@ def test_function_and_layer_rollups():
     assert list(layers)[0] == "parser"
 
 
+def test_layer_table_breaks_demand_miss_ties_by_name():
+    """Layers tied on demand misses come out in name order, whatever
+    order their functions' outcomes were classified in."""
+    image, layout = make_layout()
+    orders = []
+    for fids in ((0, 1), (1, 0)):
+        collector = AttributionCollector(layout, image=image)
+        for fid in fids:
+            collector.demand_miss(layout.base_line[fid], from_mem=False)
+        orders.append(list(collector.layer_table()))
+        orders.append(list(collector.to_dict()["layers"]))
+    assert orders == [["parser", "storage"]] * 4
+
+
 def test_top_functions_stops_at_zero():
     image, layout = make_layout()
     collector = AttributionCollector(layout, image=image)

@@ -7,14 +7,15 @@ replaces the L1 recency lists with timestamps — every one of those
 shortcuts is only sound if ``SimStats.to_dict()`` (floats included)
 comes out equal to the reference engine's on the same trace.  These
 tests drive both engines over randomized traces crossed with every
-prefetcher family, permuted and identity layouts, perfect-icache and
-demand-priority configurations, and same-line repeat patterns (the
-inlined sequential prefetcher's ``line == nl_last`` no-op).
+prefetcher family (inlined and hook-driven), permuted and identity
+layouts, perfect-icache and demand-priority configurations, and
+same-line repeat patterns (the inlined sequential prefetcher's
+``line == nl_last`` no-op).
 """
 
 from dataclasses import replace
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CgpPrefetcher
@@ -40,8 +41,16 @@ SMALL_CONFIG = SimConfig(
     base_cpi=0.3,
 )
 
-PREFETCHERS = [None, "nl", "t-nl", "ra-nl", "cgp", "cgp-xchg"]
+PREFETCHERS = [None, "nl", "t-nl", "ra-nl", "cgp", "cgp-xchg", "cgp-inf"]
 LAYOUTS = ["identity", "scrambled"]
+#: every kernel shape: the inlined memory system, the perfect I-cache
+#: (no line accesses at all), and the demand-priority ablation (the
+#: memory system called, not inlined)
+CONFIGS = [
+    SMALL_CONFIG,
+    replace(SMALL_CONFIG, perfect_icache=True),
+    replace(SMALL_CONFIG, l2_demand_priority=True),
+]
 
 
 def build_image():
@@ -72,6 +81,10 @@ def make_prefetcher(name, layout, degree):
         return TaggedNLPrefetcher(degree)
     if name == "ra-nl":
         return RunAheadNLPrefetcher(degree, 3)
+    if name == "cgp-inf":
+        # an unbounded CGHC is not inlined: the CGP hooks run through
+        # the engine's issue_prefetch/prefetch_function_head
+        return CgpPrefetcher(degree, CghcConfig(infinite=True), layout)
     if name == "cgp-xchg":
         # collision-heavy geometry: a one-entry L1 over a four-entry L2
         # makes nearly every CGHC access an L2 exchange or a miss with
@@ -121,6 +134,30 @@ def traces(draw):
         fid = stack.pop()
         trace.add_return(fid, stack[-1] if stack else -1, 0)
     return trace
+
+
+def call_chain(rounds=1, chunk=FUNC_SIZE):
+    """f0 calls f1 ... calls f5, each executing its whole body in
+    ``chunk``-instruction events, then all return; ``rounds`` times
+    (from the second round on, the CGHC has history to prefetch)."""
+    trace = Trace()
+    for _ in range(rounds):
+        for fid in range(N_FUNCTIONS):
+            trace.add_call(fid, fid - 1 if fid else -1, 0)
+            for lo in range(0, FUNC_SIZE, chunk):
+                trace.add_exec(fid, lo, min(lo + chunk, FUNC_SIZE) - 1)
+        for fid in reversed(range(N_FUNCTIONS)):
+            trace.add_return(fid, fid - 1 if fid else -1, 0)
+    return trace
+
+
+#: a trace that reaches every observation site of the fast kernels
+#: under the explicit examples below: batched first touches and
+#: evictions of untouched lines on the contiguous identity layout, CGHC
+#: history and head walks on the scrambled one (on the identity layout
+#: every entry line is a multiple of 16, so the small CGHC's sets
+#: collide and forget every history)
+CHAIN = call_chain(rounds=3, chunk=40)
 
 
 def both_engines(trace, layout, config, pf_name, degree):
@@ -182,17 +219,30 @@ def test_fast_engine_rerun_is_deterministic(trace, degree):
     assert first.to_dict() == second.to_dict()
 
 
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(trace=traces(), pf=st.sampled_from(PREFETCHERS),
-       degree=st.integers(1, 4), layout_kind=st.sampled_from(LAYOUTS))
+       degree=st.integers(1, 4), layout_kind=st.sampled_from(LAYOUTS),
+       config=st.sampled_from(CONFIGS))
+@example(trace=CHAIN, pf=None, degree=4, layout_kind="identity",
+         config=CONFIGS[0])
+@example(trace=CHAIN, pf="nl", degree=4, layout_kind="identity",
+         config=CONFIGS[0])
+@example(trace=CHAIN, pf="t-nl", degree=4, layout_kind="identity",
+         config=CONFIGS[0])
+@example(trace=CHAIN, pf="cgp", degree=4, layout_kind="scrambled",
+         config=CONFIGS[0])
+@example(trace=CHAIN, pf="cgp", degree=4, layout_kind="scrambled",
+         config=CONFIGS[2])
+@example(trace=CHAIN, pf="cgp-inf", degree=4, layout_kind="scrambled",
+         config=CONFIGS[0])
 def test_attribution_identical_across_engines(trace, pf, degree,
-                                              layout_kind):
+                                              layout_kind, config):
     """With collection enabled, both engines must produce the same
     ``SimStats`` as the uninstrumented run AND bit-identical attribution
     payloads (including lifecycle records and interval samples)."""
     layout = build_layout(layout_kind)
-    plain = simulate(trace, layout, SMALL_CONFIG,
+    plain = simulate(trace, layout, config,
                      prefetcher=make_prefetcher(pf, layout, degree),
                      engine="fast")
     stats = {}
@@ -200,7 +250,7 @@ def test_attribution_identical_across_engines(trace, pf, degree,
     for engine in ("reference", "fast"):
         collector = AttributionCollector(layout, interval=400, lifecycle=64)
         stats[engine] = simulate(
-            trace, layout, SMALL_CONFIG,
+            trace, layout, config,
             prefetcher=make_prefetcher(pf, layout, degree),
             engine=engine, collector=collector,
         )
@@ -217,12 +267,7 @@ def test_attribution_identical_across_engines(trace, pf, degree,
 def test_attribution_totals_reconcile_with_simstats():
     """Per-function attribution sums must equal the engine's own
     aggregate counters — nothing double-counted, nothing missed."""
-    trace = Trace()
-    for fid in range(N_FUNCTIONS):
-        trace.add_call(fid, fid - 1 if fid else -1, 0)
-        trace.add_exec(fid, 0, FUNC_SIZE - 1)
-    for fid in reversed(range(N_FUNCTIONS)):
-        trace.add_return(fid, fid - 1 if fid else -1, 0)
+    trace = call_chain()
     layout = build_layout("identity")
     collector = AttributionCollector(layout)
     result = simulate(trace, layout, SMALL_CONFIG,
