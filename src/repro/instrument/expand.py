@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.errors import TraceError
 from repro.instrument.trace import CALL, EXEC, RET, Trace
 
@@ -60,8 +62,11 @@ class RuntimeLibrary:
     """The synthetic helper pool, registered into a code image."""
 
     def __init__(self, image, config=ExpansionConfig()):
-        if config.call_every_instrs <= 0 or config.pool_size <= 0:
-            raise TraceError("bad expansion configuration")
+        if (config.call_every_instrs <= 0 or config.pool_size <= 0
+                or config.helpers_per_function <= 0
+                or config.two_level_every <= 0
+                or config.helper_min_instrs > config.helper_max_instrs):
+            raise TraceError(f"bad expansion configuration {config}")
         self.config = config
         self.image = image
         self.helper_fids = []
@@ -73,13 +78,16 @@ class RuntimeLibrary:
             self.helper_fids.append(info.fid)
             self.helper_sizes.append(info.size_instrs)
 
+    def slot_of(self, callsite_offset):
+        """A call site's helper slot (an int, or an int array): its
+        ``call_every_instrs`` block, modulo ``helpers_per_function``."""
+        return ((callsite_offset // self.config.call_every_instrs)
+                % self.config.helpers_per_function)
+
     def helper_for(self, caller_fid, callsite_offset):
         """Deterministic helper for one call site of one caller."""
-        slot = (
-            callsite_offset // self.config.call_every_instrs
-        ) % self.config.helpers_per_function
-        index = _mix(caller_fid, slot) % self.config.pool_size
-        return index
+        slot = self.slot_of(callsite_offset)
+        return _mix(caller_fid, slot) % self.config.pool_size
 
     def sub_helper_of(self, helper_index):
         """Second-level helper, or None (a fixed fraction have one)."""
@@ -93,84 +101,99 @@ def expand_trace(trace, image, config=ExpansionConfig()):
 
     Registers the helper pool into ``image`` (idempotent growth) and
     returns a new :class:`Trace`.
+
+    An EXEC spanning ``d`` instructions is cut every ``S`` instructions
+    (stepping down for a backward span) into ``max(0, (d - 1) // S)``
+    full chunks and one last chunk of at most ``S``; each chunk ends
+    where the next one starts.  After each full chunk comes one helper
+    call: ``EXEC CALL EXEC RET`` for a one-level helper, ``EXEC CALL
+    EXEC CALL EXEC RET EXEC RET`` for one that calls a sub-helper from
+    its middle.  Other events pass through.  The whole trace is laid
+    out with array passes: every input event owns its full chunks
+    followed by one tail unit (its last chunk, or itself), so output
+    positions are one prefix sum of the unit sizes.
     """
     library = RuntimeLibrary(image, config)
     spacing = config.call_every_instrs
-    out = Trace()
-    kinds_out, a_out, b_out, c_out = out.kinds, out.a, out.b, out.c
-    helper_fids = library.helper_fids
-    helper_sizes = library.helper_sizes
-    helpers_per_function = config.helpers_per_function
-    pool_size = config.pool_size
-    two_level_every = config.two_level_every
+    n = len(trace)
+    kinds = _np.frombuffer(trace.kinds, dtype=_np.int8, count=n)
+    a = _np.frombuffer(trace.a, dtype=_np.int64, count=n)
+    b = _np.frombuffer(trace.b, dtype=_np.int64, count=n)
+    c = _np.frombuffer(trace.c, dtype=_np.int64, count=n)
+    step = _np.where(c >= b, spacing, -spacing)
+    calls = _np.where(kinds == EXEC,
+                      _np.maximum((_np.abs(c - b) - 1) // spacing, 0), 0)
 
-    for kind, a, b, c in trace.events():
-        if kind != EXEC:
-            kinds_out.append(kind)
-            a_out.append(a)
-            b_out.append(b)
-            c_out.append(c)
-            continue
-        fid, start, end = a, b, c
-        step = spacing if end >= start else -spacing
-        cursor = start
-        while True:
-            remaining = end - cursor
-            if abs(remaining) <= spacing:
-                kinds_out.append(EXEC)
-                a_out.append(fid)
-                b_out.append(cursor)
-                c_out.append(end)
-                break
-            nxt = cursor + step
-            kinds_out.append(EXEC)
-            a_out.append(fid)
-            b_out.append(cursor)
-            c_out.append(nxt)
-            # helper call at this site (identity fixed per site)
-            slot = (abs(nxt) // spacing) % helpers_per_function
-            index = _mix(fid, slot) % pool_size
-            helper = helper_fids[index]
-            size = helper_sizes[index]
-            kinds_out.append(CALL)
-            a_out.append(helper)
-            b_out.append(fid)
-            c_out.append(abs(nxt))
-            sub = None
-            if _mix(index, 7919) % two_level_every == 0:
-                sub = _mix(index, 104729) % pool_size
-            if sub is None or sub == index:
-                kinds_out.append(EXEC)
-                a_out.append(helper)
-                b_out.append(0)
-                c_out.append(size - 1)
-            else:
-                mid = size // 2
-                sub_fid = helper_fids[sub]
-                sub_size = helper_sizes[sub]
-                kinds_out.append(EXEC)
-                a_out.append(helper)
-                b_out.append(0)
-                c_out.append(mid)
-                kinds_out.append(CALL)
-                a_out.append(sub_fid)
-                b_out.append(helper)
-                c_out.append(mid)
-                kinds_out.append(EXEC)
-                a_out.append(sub_fid)
-                b_out.append(0)
-                c_out.append(sub_size - 1)
-                kinds_out.append(RET)
-                a_out.append(sub_fid)
-                b_out.append(helper)
-                c_out.append(sub_size - 1)
-                kinds_out.append(EXEC)
-                a_out.append(helper)
-                b_out.append(mid)
-                c_out.append(size - 1)
-            kinds_out.append(RET)
-            a_out.append(helper)
-            b_out.append(fid)
-            c_out.append(size - 1)
-            cursor = nxt
+    # ---- one row per full chunk: its span and its helper ----
+    event = _np.repeat(_np.arange(n), calls)
+    steps = _np.arange(1, event.size + 1) - _np.repeat(
+        _np.cumsum(calls) - calls, calls)
+    fid = a[event]
+    nxt = b[event] + steps * step[event]
+    cursor = nxt - step[event]
+    site = _np.abs(nxt)
+    # helper per distinct (caller, slot), from the slot's first offset
+    slots = config.helpers_per_function
+    callers, caller_of = _np.unique(fid, return_inverse=True)
+    keys, key_of = _np.unique(caller_of * slots + library.slot_of(site),
+                              return_inverse=True)
+    caller_fids = callers.tolist()
+    index = _np.array(
+        [library.helper_for(caller_fids[key // slots], key % slots * spacing)
+         for key in keys.tolist()], dtype=_np.int64)[key_of]
+    # a helper without a sub-helper, or whose sub-helper is itself,
+    # takes the one-level shape
+    sub_index = _np.array(
+        [i if sub is None else sub for i, sub in
+         enumerate(map(library.sub_helper_of, range(config.pool_size)))],
+        dtype=_np.int64)[index]
+    nested = sub_index != index
+    helper_fids = _np.asarray(library.helper_fids, dtype=_np.int64)
+    helper_sizes = _np.asarray(library.helper_sizes, dtype=_np.int64)
+    helper = helper_fids[index]
+    last = helper_sizes[index] - 1
+    mid = helper_sizes[index] // 2
+    sub = helper_fids[sub_index]
+    sub_last = helper_sizes[sub_index] - 1
+
+    # ---- output positions: each event's chunks, then its tail ----
+    tail_unit = _np.cumsum(calls + 1) - 1
+    is_chunk = _np.ones(n + event.size, dtype=bool)
+    is_chunk[tail_unit] = False
+    chunk_size = _np.where(nested, 8, 4)
+    unit_size = _np.ones(n + event.size, dtype=_np.int64)
+    unit_size[is_chunk] = chunk_size
+    pos = _np.cumsum(unit_size) - unit_size
+    chunk_pos = pos[is_chunk]
+
+    total = int(unit_size.sum())
+    out_kinds = _np.empty(total, dtype=_np.int8)
+    out_a = _np.empty(total, dtype=_np.int64)
+    out_b = _np.empty(total, dtype=_np.int64)
+    out_c = _np.empty(total, dtype=_np.int64)
+
+    def put(where, kind, ea, eb, ec):
+        out_kinds[where] = kind
+        out_a[where] = ea
+        out_b[where] = eb
+        out_c[where] = ec
+
+    put(pos[tail_unit], kinds, a, b + calls * step, c)
+    put(chunk_pos, EXEC, fid, cursor, nxt)
+    put(chunk_pos + 1, CALL, helper, fid, site)
+    put(chunk_pos + 2, EXEC, helper, 0, _np.where(nested, mid, last))
+    put(chunk_pos + chunk_size - 1, RET, helper, fid, last)
+    two = chunk_pos[nested]
+    outer, outer_mid = helper[nested], mid[nested]
+    inner, inner_last = sub[nested], sub_last[nested]
+    put(two + 3, CALL, inner, outer, outer_mid)
+    put(two + 4, EXEC, inner, 0, inner_last)
+    put(two + 5, RET, inner, outer, inner_last)
+    put(two + 6, EXEC, outer, outer_mid, last[nested])
+
+    out = Trace()
+    out.kinds.frombytes(out_kinds.view(_np.uint8))
+    out.a.frombytes(out_a.view(_np.uint8))
+    out.b.frombytes(out_b.view(_np.uint8))
+    out.c.frombytes(out_c.view(_np.uint8))
     return out

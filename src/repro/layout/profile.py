@@ -8,7 +8,38 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as _np
+
 from repro.instrument.trace import CALL, EXEC
+
+
+def _tally(counter, columns, weights=None):
+    """Add to ``counter`` how often each distinct key occurs (or the sum
+    of its ``weights``), new keys in the order they first occur.
+
+    A key is one element of ``columns[0]``, or the tuple of one element
+    from each column.  Keys and totals are Python ints, as per-event
+    counting gives them.
+    """
+    if not columns[0].size:
+        return
+    order = _np.lexsort(columns[::-1])  # stable: ties keep trace order
+    ordered = [column[order] for column in columns]
+    starts = _np.zeros(order.size, dtype=bool)
+    starts[0] = True
+    for column in ordered:
+        starts[1:] |= column[1:] != column[:-1]
+    first = _np.flatnonzero(starts)
+    if weights is None:
+        totals = _np.diff(first, append=order.size)
+    else:
+        running = _np.cumsum(weights[order])
+        totals = _np.diff(running[_np.append(first[1:], order.size) - 1],
+                          prepend=0)
+    seen = _np.argsort(order[first])
+    keys = [column[first][seen].tolist() for column in ordered]
+    counter.update(dict(zip(keys[0] if len(keys) == 1 else zip(*keys),
+                            totals[seen].tolist())))
 
 
 class CallGraphProfile:
@@ -20,16 +51,19 @@ class CallGraphProfile:
         self.instr_counts = Counter()  # fid -> dynamic instructions
 
     def add_trace(self, trace):
-        edges = self.edge_counts
-        calls = self.call_counts
-        instrs = self.instr_counts
-        for kind, a, b, c in trace.events():
-            if kind == CALL:
-                calls[a] += 1
-                if b >= 0:
-                    edges[(b, a)] += 1
-            elif kind == EXEC:
-                instrs[a] += abs(c - b) + 1
+        n = len(trace)
+        kinds = _np.frombuffer(trace.kinds, dtype=_np.int8, count=n)
+        a = _np.frombuffer(trace.a, dtype=_np.int64, count=n)
+        b = _np.frombuffer(trace.b, dtype=_np.int64, count=n)
+        c = _np.frombuffer(trace.c, dtype=_np.int64, count=n)
+        call = kinds == CALL
+        callee = a[call]
+        caller = b[call]
+        known = caller >= 0
+        ex = kinds == EXEC
+        _tally(self.call_counts, (callee,))
+        _tally(self.edge_counts, (caller[known], callee[known]))
+        _tally(self.instr_counts, (a[ex],), _np.abs(c[ex] - b[ex]) + 1)
         return self
 
     def merge(self, other):

@@ -14,7 +14,10 @@ removes that per-event work without changing a single observable number:
   (built with the layout's precomputed translation table), a per-event
   contiguity flag, and pre-resolved call-site lines.  Compiled images
   are cached per trace object (weakly) — traces are append-only, so an
-  image is reused as long as ``len(trace)`` is unchanged.
+  image is reused as long as ``len(trace)`` is unchanged — and the
+  work that depends on the trace alone (its content digest and the
+  opcode/operand lists) is done once per trace and shared read-only
+  by every layout's image.
 * **an O(1) residency index** — a bytearray mirror of the L1 content
   replaces the associative ``contains``/``lookup`` scans on the hot
   paths.  Squashed prefetches — the overwhelming majority under NL/CGP
@@ -107,7 +110,9 @@ class CompiledTrace:
     which the bit-identical arithmetic contract requires):
 
     * ``ops`` — opcode per event (``OP_*``),
-    * ``ea``/``eb`` — the raw ``a``/``b`` operands (callee/caller fids),
+    * ``ea``/``eb`` — the raw ``a``/``b`` operands (callee/caller fids);
+      these three depend on the trace alone, and the compile cache hands
+      every layout's image of one trace the same lists,
     * ``n_scaled`` — EXEC instruction count pre-multiplied by the
       layout's ``instr_scale`` (float iff ``instr_scale`` is a float,
       matching the reference engine's arithmetic types),
@@ -141,6 +146,18 @@ class CompiledTrace:
 
 def compile_trace(trace, layout):
     """Translate ``trace`` for ``layout`` (no caching; see ``_compiled``)."""
+    return _compile_for_layout(trace, layout, *_event_lists(trace))
+
+
+def _event_lists(trace):
+    """The part of a compiled image that depends on the trace alone:
+    the ``ops``/``ea``/``eb`` lists, which every layout's image of one
+    trace can share read-only."""
+    return trace.kinds.tolist(), trace.a.tolist(), trace.b.tolist()
+
+
+def _compile_for_layout(trace, layout, ops, ea, eb):
+    """``compile_trace`` given the trace's :func:`_event_lists`."""
     n = len(trace)
     tbl, bb = layout.translation_table()
     tbl_np = _np.frombuffer(tbl, dtype=_np.int64)
@@ -221,9 +238,9 @@ def compile_trace(trace, layout):
 
     return CompiledTrace(
         n_events=n,
-        ops=kinds.tolist(),
-        ea=a.tolist(),
-        eb=b.tolist(),
+        ops=ops,
+        ea=ea,
+        eb=eb,
         n_scaled=n_scaled_full.tolist(),
         seg_start=seg_start_full.tolist(),
         seg_end=seg_end_full.tolist(),
@@ -233,8 +250,31 @@ def compile_trace(trace, layout):
     )
 
 
-#: trace -> [(layout, CompiledTrace), ...]; weak on the trace so cached
-#: images die with it (and a recycled id can never alias a new trace).
+class _TraceEntry:
+    """One trace's compile-cache entry, valid while the trace still has
+    ``n_events`` events (traces are append-only).
+
+    It holds the trace-side work, done once for every layout: the
+    ``digest`` of the trace's event buffers, which :func:`compile_key`
+    extends with the layout, and the shared :func:`_event_lists`,
+    built by the first compile that misses the content cache.
+    ``images`` lists the ``(layout, CompiledTrace)`` pairs served so far.
+    """
+
+    __slots__ = ("n_events", "digest", "events", "images")
+
+    def __init__(self, trace):
+        self.n_events = len(trace)
+        h = hashlib.blake2b(digest_size=16)
+        for buffer in (trace.kinds, trace.a, trace.b, trace.c):
+            h.update(buffer)
+        self.digest = h.digest()
+        self.events = None
+        self.images = []
+
+
+#: trace -> _TraceEntry; weak on the trace so cached images die with it
+#: (and a recycled id can never alias a new trace).
 _COMPILE_CACHE = weakref.WeakKeyDictionary()
 
 #: content hash -> CompiledTrace (bounded LRU).  The weak per-object
@@ -247,38 +287,30 @@ _CONTENT_CACHE = OrderedDict()
 _CONTENT_CACHE_LIMIT = 16
 
 
+def _trace_entry(trace):
+    entry = _COMPILE_CACHE.get(trace)
+    if entry is None or entry.n_events != len(trace):
+        entry = _COMPILE_CACHE[trace] = _TraceEntry(trace)
+    return entry
+
+
 def compile_key(trace, layout):
     """Content fingerprint of everything a compiled image depends on.
 
-    Hashes the trace's raw event buffers and the layout's flat
-    translation tables plus its scaling parameters — the complete input
-    set of :func:`compile_trace` — so the key is stable across object
+    Extends the digest of the trace's raw event buffers (taken once per
+    trace, see :class:`_TraceEntry`) with the layout's flat translation
+    tables and its scaling parameters — the complete input set of
+    :func:`compile_trace` — so the key is stable across object
     identities and process boundaries.
     """
     tbl, bb = layout.translation_table()
     h = hashlib.blake2b(digest_size=16)
-    h.update(trace.kinds.tobytes())
-    h.update(trace.a.tobytes())
-    h.update(trace.b.tobytes())
-    h.update(trace.c.tobytes())
-    h.update(tbl.tobytes())
-    h.update(bb.tobytes())
+    h.update(_trace_entry(trace).digest)
+    h.update(tbl)
+    h.update(bb)
     h.update(repr((layout.num, layout.den, layout.instr_scale,
                    layout.total_lines)).encode("ascii"))
     return h.hexdigest()
-
-
-def _content_compiled(trace, layout):
-    key = compile_key(trace, layout)
-    compiled = _CONTENT_CACHE.get(key)
-    if compiled is not None:
-        _CONTENT_CACHE.move_to_end(key)
-        return compiled
-    compiled = compile_trace(trace, layout)
-    _CONTENT_CACHE[key] = compiled
-    if len(_CONTENT_CACHE) > _CONTENT_CACHE_LIMIT:
-        _CONTENT_CACHE.popitem(last=False)
-    return compiled
 
 
 #: layout -> {(n1_sets, n2_sets): (set1_of, set2_of)}; weak on the
@@ -324,18 +356,22 @@ def clear_compile_cache():
 
 
 def _compiled(trace, layout):
-    entries = _COMPILE_CACHE.get(trace)
-    if entries is None:
-        entries = _COMPILE_CACHE[trace] = []
-    for pos, (cached_layout, compiled) in enumerate(entries):
+    entry = _trace_entry(trace)
+    for cached_layout, compiled in entry.images:
         if cached_layout is layout:
-            if compiled.n_events == len(trace):
-                return compiled
-            compiled = _content_compiled(trace, layout)
-            entries[pos] = (layout, compiled)
             return compiled
-    compiled = _content_compiled(trace, layout)
-    entries.append((layout, compiled))
+    key = compile_key(trace, layout)
+    compiled = _CONTENT_CACHE.get(key)
+    if compiled is None:
+        if entry.events is None:
+            entry.events = _event_lists(trace)
+        compiled = _compile_for_layout(trace, layout, *entry.events)
+        _CONTENT_CACHE[key] = compiled
+        if len(_CONTENT_CACHE) > _CONTENT_CACHE_LIMIT:
+            _CONTENT_CACHE.popitem(last=False)
+    else:
+        _CONTENT_CACHE.move_to_end(key)
+    entry.images.append((layout, compiled))
     return compiled
 
 

@@ -120,14 +120,30 @@ def test_instr_spacing_near_target():
     assert 30 <= spacing <= 90  # the paper's regime (~43), not hundreds
 
 
-def test_bad_config_rejected():
-    image = base_image()
+BAD_CONFIGS = [
+    {"call_every_instrs": 0},
+    {"pool_size": 0},
+    {"helpers_per_function": 0},
+    {"two_level_every": 0},
+    {"helper_min_instrs": 65, "helper_max_instrs": 64},
+    # would silently size helpers outside [min, max]
+    {"helper_min_instrs": 64, "helper_max_instrs": 8},
+]
+
+
+@pytest.mark.parametrize(
+    "fields", BAD_CONFIGS,
+    ids=[",".join(f"{k}={v}" for k, v in f.items()) for f in BAD_CONFIGS])
+def test_bad_config_rejected(fields):
+    config = ExpansionConfig(**fields)
     with pytest.raises(TraceError):
-        RuntimeLibrary(image, ExpansionConfig(call_every_instrs=0))
+        RuntimeLibrary(base_image(), config)
+    with pytest.raises(TraceError):
+        expand_trace(long_exec_trace(), base_image(), config)
 
 
 def test_helper_for_matches_expansion():
-    """The public helper_for() must agree with the inlined expansion."""
+    """The public helper_for() must agree with the expansion."""
     image = base_image()
     config = ExpansionConfig(call_every_instrs=50, pool_size=32)
     library = RuntimeLibrary(image, config)
