@@ -22,6 +22,8 @@ exactly as the hardware would hold them.
 
 from __future__ import annotations
 
+import sys
+
 from repro.errors import ConfigError
 
 
@@ -148,31 +150,35 @@ class DirectMappedCghc:
 
 
 class FlatCghc:
-    """Flat-array image of a finite direct-mapped two-level CGHC.
+    """Flat-array image of a direct-mapped CGHC: finite (one or two
+    levels) or unbounded.
 
     The optimized replay core cannot afford the dict-and-object
     representation on its per-event path: every CGHC access chases
     ``_sets`` list -> bucket list -> entry attributes, and every
     miss/exchange allocates and shuffles Python objects.  This class
     holds the *same* state as :class:`CallGraphHistoryCache` (ways == 1
-    only — the paper's configuration) in parallel arrays:
+    only — the paper's configuration) in parallel per-set lists:
 
     * ``l1_tag[s]`` / ``l2_tag[s]`` — resident tag per set, ``-1`` empty,
     * ``l1_idx[s]`` / ``l2_idx[s]`` — the entry's 1-based slot index,
-    * ``l1_len[s]`` / ``l2_len[s]`` — valid prefix length of the callee
-      sequence,
-    * ``l1_seq`` / ``l2_seq`` — callee slots, ``slots`` per set at stride
-      ``s * slots`` (a fixed stride keeps every exchange a plain slice
-      copy).
+    * ``l1_seq[s]`` / ``l2_seq[s]`` — the entry's callee sequence, one
+      list per set (an exchange swaps list references).
+
+    The unbounded CGHC is the one-level form with one set per possible
+    tag and no slot cap: tags are function entry lines, so with
+    ``n1 = layout.total_lines`` no two tags share a set and a miss never
+    has a victim.
 
     The replay kernels flatten the dict cache at kernel entry
-    (:meth:`from_cache`), probe/update the arrays inline, and write the
+    (:meth:`from_cache`), probe/update the lists inline, and write the
     state back (:meth:`write_back`) before the kernel returns — so the
     dict cache stays the canonical representation wherever engine state
     is observed (``EngineState`` snapshots, ``_finalize``, tests), and
     the reference :class:`CallGraphHistoryCache` remains the semantic
-    oracle.  Hit/miss counters accumulate here as *deltas* and are added
-    to the dict cache's totals by ``write_back``.
+    oracle.  Both boundaries copy the sequences, so no snapshot aliases
+    kernel state.  Hit/miss counters accumulate here as *deltas* and are
+    added to the dict cache's totals by ``write_back``.
 
     :meth:`ensure` is the reference implementation of the flattened
     probe/allocate/exchange sequence the kernels inline — the
@@ -182,86 +188,72 @@ class FlatCghc:
 
     __slots__ = (
         "n1", "n2", "slots", "lat1", "lat2",
-        "l1_tag", "l1_idx", "l1_len", "l1_seq",
-        "l2_tag", "l2_idx", "l2_len", "l2_seq",
+        "l1_tag", "l1_idx", "l1_seq",
+        "l2_tag", "l2_idx", "l2_seq",
         "l1_hits", "l2_hits", "misses",
     )
 
     @classmethod
-    def from_cache(cls, cghc):
-        """Flatten a dict-represented cache (finite, direct mapped)."""
-        if cghc.infinite:
-            raise ConfigError("infinite CGHC has no flat representation")
-        if cghc.l1.ways != 1 or (cghc.l2 is not None and cghc.l2.ways != 1):
-            raise ConfigError("flat CGHC supports direct-mapped levels only")
+    def from_cache(cls, cghc, n_tags=None):
+        """Flatten a dict-represented, direct-mapped cache.  An unbounded
+        cache needs ``n_tags``, one more than the largest tag it may
+        hold (the replayed layout's ``total_lines``)."""
         flat = cls.__new__(cls)
-        flat.slots = cghc.max_slots
         flat.lat1 = cghc.config.l1_latency
         flat.lat2 = cghc.config.l2_latency
         flat.l1_hits = 0
         flat.l2_hits = 0
         flat.misses = 0
+        flat.n2 = 0
+        flat.l2_tag = flat.l2_idx = flat.l2_seq = None
+        if cghc.infinite:
+            if n_tags is None:
+                raise ConfigError("an unbounded flat CGHC needs n_tags")
+            flat.slots = sys.maxsize
+            flat.n1 = n_tags
+            tags = [-1] * n_tags
+            idxs = [1] * n_tags
+            seqs = [None] * n_tags
+            for tag, entry in cghc._store.items():
+                if not 0 <= tag < n_tags:
+                    raise ConfigError(f"CGHC tag {tag} outside [0, {n_tags})")
+                tags[tag] = tag
+                idxs[tag] = entry.index
+                seqs[tag] = entry.seq[:]
+            flat.l1_tag, flat.l1_idx, flat.l1_seq = tags, idxs, seqs
+            return flat
+        if cghc.l1.ways != 1:
+            raise ConfigError("flat CGHC supports direct-mapped levels only")
+        flat.slots = cghc.max_slots
         flat.n1 = cghc.l1.n_sets
-        flat._load_level(cghc.l1, 1)
+        flat.l1_tag, flat.l1_idx, flat.l1_seq = cls._load_level(cghc.l1)
         if cghc.l2 is not None:
             flat.n2 = cghc.l2.n_sets
-            flat._load_level(cghc.l2, 2)
-        else:
-            flat.n2 = 0
-            flat.l2_tag = flat.l2_idx = flat.l2_len = flat.l2_seq = None
+            flat.l2_tag, flat.l2_idx, flat.l2_seq = cls._load_level(cghc.l2)
         return flat
 
-    def _load_level(self, level, which):
-        n = level.n_sets
-        stride = self.slots
-        tags = [-1] * n
-        idxs = [1] * n
-        lens = [0] * n
-        seqs = [0] * (n * stride)
-        for s, bucket in enumerate(level._sets):
-            if bucket:
-                entry = bucket[-1]
-                tags[s] = entry.tag
-                idxs[s] = entry.index
-                k = len(entry.seq)
-                lens[s] = k
-                seqs[s * stride:s * stride + k] = entry.seq
-        if which == 1:
-            self.l1_tag, self.l1_idx, self.l1_len, self.l1_seq = (
-                tags, idxs, lens, seqs)
-        else:
-            self.l2_tag, self.l2_idx, self.l2_len, self.l2_seq = (
-                tags, idxs, lens, seqs)
-
     def write_back(self, cghc):
-        """Rebuild the dict cache's buckets from the arrays and add the
+        """Rebuild the dict cache's entries from the lists and add the
         accumulated counter deltas to its totals."""
-        self._store_level(cghc.l1, self.l1_tag, self.l1_idx, self.l1_len,
-                          self.l1_seq)
-        if self.n2:
-            self._store_level(cghc.l2, self.l2_tag, self.l2_idx,
-                              self.l2_len, self.l2_seq)
+        if cghc.infinite:
+            idxs = self.l1_idx
+            seqs = self.l1_seq
+            cghc._store = {
+                tag: self._entry(tag, idxs[tag], seqs[tag])
+                for tag in self.l1_tag if tag >= 0
+            }
+        else:
+            self._store_level(cghc.l1, self.l1_tag, self.l1_idx,
+                              self.l1_seq)
+            if self.n2:
+                self._store_level(cghc.l2, self.l2_tag, self.l2_idx,
+                                  self.l2_seq)
         cghc.l1_hits += self.l1_hits
         cghc.l2_hits += self.l2_hits
         cghc.misses += self.misses
         self.l1_hits = 0
         self.l2_hits = 0
         self.misses = 0
-
-    def _store_level(self, level, tags, idxs, lens, seqs):
-        stride = self.slots
-        sets = level._sets
-        b = 0
-        for s, tag in enumerate(tags):
-            if tag >= 0:
-                entry = CghcEntry.__new__(CghcEntry)
-                entry.tag = tag
-                entry.index = idxs[s]
-                entry.seq = seqs[b:b + lens[s]]
-                sets[s] = [entry]
-            else:
-                sets[s] = []
-            b += stride
 
     # ------------------------------------------------------------------
     # access (the sequence the replay kernels inline)
@@ -280,16 +272,12 @@ class FlatCghc:
         if l1_tag[s1] == tag:
             self.l1_hits += 1
             return self.lat1, 0
-        stride = self.slots
         l1_idx = self.l1_idx
-        l1_len = self.l1_len
         l1_seq = self.l1_seq
-        b1 = s1 * stride
         victim = l1_tag[s1]
         if self.n2:
             l2_tag = self.l2_tag
             l2_idx = self.l2_idx
-            l2_len = self.l2_len
             l2_seq = self.l2_seq
             s2 = tag % self.n2
             if l2_tag[s2] == tag:
@@ -298,22 +286,17 @@ class FlatCghc:
                 # entry may map to the same slot), demote the L1
                 # resident, install the hit entry in L1.
                 self.l2_hits += 1
-                b2 = s2 * stride
                 hit_idx = l2_idx[s2]
-                hit_len = l2_len[s2]
-                hit_seq = l2_seq[b2:b2 + stride]
+                hit_seq = l2_seq[s2]
                 l2_tag[s2] = -1
                 if victim >= 0:
                     vs = victim % self.n2
-                    vb = vs * stride
                     l2_tag[vs] = victim
                     l2_idx[vs] = l1_idx[s1]
-                    l2_len[vs] = l1_len[s1]
-                    l2_seq[vb:vb + stride] = l1_seq[b1:b1 + stride]
+                    l2_seq[vs] = l1_seq[s1]
                 l1_tag[s1] = tag
                 l1_idx[s1] = hit_idx
-                l1_len[s1] = hit_len
-                l1_seq[b1:b1 + stride] = hit_seq
+                l1_seq[s1] = hit_seq
                 return self.lat2, 1
             # miss in both levels: allocate fresh in L1, write the
             # displaced entry back to L2 (overwriting that set's
@@ -321,20 +304,19 @@ class FlatCghc:
             self.misses += 1
             if victim >= 0:
                 vs = victim % self.n2
-                vb = vs * stride
                 l2_tag[vs] = victim
                 l2_idx[vs] = l1_idx[s1]
-                l2_len[vs] = l1_len[s1]
-                l2_seq[vb:vb + stride] = l1_seq[b1:b1 + stride]
+                l2_seq[vs] = l1_seq[s1]
             l1_tag[s1] = tag
             l1_idx[s1] = 1
-            l1_len[s1] = 0
+            l1_seq[s1] = []
             return self.lat2, 2
-        # one-level cache: the direct-mapped victim is simply dropped
+        # one-level cache: the direct-mapped victim (never one when
+        # unbounded) is simply dropped
         self.misses += 1
         l1_tag[s1] = tag
         l1_idx[s1] = 1
-        l1_len[s1] = 0
+        l1_seq[s1] = []
         return self.lat1, 2
 
     # ------------------------------------------------------------------
@@ -344,24 +326,59 @@ class FlatCghc:
         """``CghcEntry.record_call`` on the L1-resident entry."""
         slot = self.l1_idx[s1] - 1
         if slot < self.slots:
-            self.l1_seq[s1 * self.slots + slot] = callee
-            if slot == self.l1_len[s1]:
-                self.l1_len[s1] = slot + 1
+            seq = self.l1_seq[s1]
+            if slot < len(seq):
+                seq[slot] = callee
+            else:
+                seq.append(callee)
             self.l1_idx[s1] = slot + 2
 
     def predicted_next(self, s1):
         slot = self.l1_idx[s1] - 1
-        if slot < self.l1_len[s1]:
-            return self.l1_seq[s1 * self.slots + slot]
+        seq = self.l1_seq[s1]
+        if slot < len(seq):
+            return seq[slot]
         return None
 
     def first_callee(self, s1):
-        if self.l1_len[s1]:
-            return self.l1_seq[s1 * self.slots]
-        return None
+        seq = self.l1_seq[s1]
+        return seq[0] if seq else None
 
     def reset_index(self, s1):
         self.l1_idx[s1] = 1
+
+    # ------------------------------------------------------------------
+    # dict <-> list conversion
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _load_level(level):
+        """One direct-mapped level's (tags, indices, sequences) lists."""
+        n = level.n_sets
+        tags = [-1] * n
+        idxs = [1] * n
+        seqs = [None] * n
+        for s, bucket in enumerate(level._sets):
+            if bucket:
+                entry = bucket[-1]
+                tags[s] = entry.tag
+                idxs[s] = entry.index
+                seqs[s] = entry.seq[:]
+        return tags, idxs, seqs
+
+    @staticmethod
+    def _entry(tag, index, seq):
+        entry = CghcEntry.__new__(CghcEntry)
+        entry.tag = tag
+        entry.index = index
+        entry.seq = seq[:]
+        return entry
+
+    @classmethod
+    def _store_level(cls, level, tags, idxs, seqs):
+        level._sets[:] = [
+            [cls._entry(tag, idxs[s], seqs[s])] if tag >= 0 else []
+            for s, tag in enumerate(tags)
+        ]
 
     # ------------------------------------------------------------------
     # introspection

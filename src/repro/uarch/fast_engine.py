@@ -1,4 +1,4 @@
-"""Optimized replay core: compiled traces + a batched fast path.
+"""Optimized replay core: compiled traces + inlined replay kernels.
 
 The reference :class:`~repro.uarch.fetch_engine.FetchEngine` re-derives
 the same facts for every event: it swaps offsets, divides them into
@@ -11,8 +11,8 @@ removes that per-event work without changing a single observable number:
 * **compiled traces** — each (trace, layout) pair is translated once,
   with numpy, into flat parallel arrays: per-event opcodes, pre-scaled
   instruction counts, spans into one flat list of global line addresses
-  (built with the layout's precomputed translation table), a per-event
-  contiguity flag, and pre-resolved call-site lines.  Compiled images
+  (built with the layout's precomputed translation table), and
+  pre-resolved call-site lines.  Compiled images
   are cached per trace object (weakly) — traces are append-only, so an
   image is reused as long as ``len(trace)`` is unchanged — and the
   work that depends on the trace alone (its content digest and the
@@ -21,8 +21,7 @@ removes that per-event work without changing a single observable number:
 * **an O(1) residency index** — a bytearray mirror of the L1 content
   replaces the associative ``contains``/``lookup`` scans on the hot
   paths.  Squashed prefetches — the overwhelming majority under NL/CGP
-  — become two array probes and a counter bump (or one C-level range
-  scan for a whole fan-out window).
+  — become two array probes and a counter bump.
 * **timestamp LRU** — within the run, the L1's per-set recency lists
   are replaced by unordered way slots plus a per-line last-use stamp
   from one global counter.  A hit is a single store (no set probe, no
@@ -30,46 +29,39 @@ removes that per-event work without changing a single observable number:
   provably the same line the reference recency list would evict.  The
   ``SetAssocCache`` is reconstructed (sorted by stamp) when the run
   ends, so post-run inspection sees the exact reference state.
-* **a whole-event batch** — an EXEC event whose lines are consecutive
-  (compile-time flag) is checked against the residency index with one
-  C-speed ``bytearray.count`` range scan; when every line is resident
-  the event collapses to counter adds, one stamp slice-assign and (under
-  the inlined sequential prefetcher) one ascending issue span walk.
-* **specialized kernels** — a run with no prefetcher hooks at all (the
-  paper's O5/OM baseline cells) takes a dedicated loop with the memory
-  system's port + L2 arithmetic inlined and no in-flight/untouched
-  bookkeeping (nothing can ever be in flight); prefetchers that export
-  ``nl_component`` (NL, RA-NL, and CGP's within-function component)
-  promise their ``on_line_access`` is exactly the sequential-NL
-  automaton, so the leading-edge issue, the post-jump fan-out, and the
-  same-line no-op are inlined, squash checks included; and
-  :class:`~repro.core.cgp.CgpPrefetcher`'s call/return CGHC accesses
-  are inlined on the flat CGHC arrays, with one function-head walk
-  shared by the call and return sides.
+* **two kernels, every hook inlined** — a run that can never issue a
+  prefetch (the paper's O5/OM baseline cells and the perfect I-cache)
+  takes a dedicated loop with no in-flight/untouched bookkeeping; every
+  other run takes the general kernel, where the NL automaton (NL, RA-NL,
+  and CGP's within-function component) — leading-edge issue, post-jump
+  fan-out, same-line no-op, squash checks included — and
+  :class:`~repro.core.cgp.CgpPrefetcher`'s call/return CGHC accesses on
+  the flat CGHC lists are inlined, with one function-head walk shared by
+  the call and return sides.  Both kernels inline the memory system's
+  FIFO port + L2 arithmetic.  :meth:`FastFetchEngine.supports` names
+  the configurations this covers — the ones the paper evaluates, plus
+  run-ahead NL — and :func:`~repro.uarch.fetch_engine.simulate` replays
+  any other on the reference engine.
 
 Observation rides the same kernels.  With an
 :class:`~repro.obsv.collector.AttributionCollector` attached, each
 kernel records the outcomes it already classifies — demand misses,
 first touches, delayed hits, evictions of untouched lines, issues,
 squashes, CGHC probes — into the collector's line-indexed count arrays
-and lifecycle ring, where a batched span walk records the squashes it
-never visits as one covered span.  A batched event reorders nothing the
-payload can see: its first-touch closes and its span's issues touch
-disjoint lines at a frozen clock.
+and lifecycle ring, where a span walk records the squashes it never
+visits as one covered span.
 
 Each specialization is kept only while it pays: ``docs/BENCHMARKS.md``
 ("What each specialization is worth") tabulates what forcing each one
-off costs on ``bench/run.py``, and lists the ones deleted for doing no
-work on real traces.
+off costs on the benchmark's cells, and lists the ones deleted for
+doing no work on real traces or for costing more than they save.
 
 Equivalence is bit-exact, not approximate: every floating-point
 accumulation (cycle, stall, instructions, fetch/mispredict cycles)
 performs the same IEEE-754 operations in the same order as the
-reference engine, and anything the fast paths cannot prove (a pending
-arrival, a non-resident line, a non-contiguous run, an unknown
-prefetcher class) falls through to an inlined transcription — or the
-actual hook call — of the reference classification.  The cross-engine
-suites in ``tests/uarch/test_engine_equivalence.py`` and
+reference engine, and every line access runs an inlined transcription
+of the reference classification.  The cross-engine suites in
+``tests/uarch/test_engine_equivalence.py`` and
 ``tests/harness/test_engine_equivalence.py`` enforce
 ``SimStats.to_dict()`` and attribution payload equality on golden
 workloads and randomized traces.
@@ -94,7 +86,6 @@ from repro.uarch.fetch_engine import (
 )
 from repro.uarch.prefetch.base import Prefetcher
 from repro.uarch.prefetch.nl import NextNLinePrefetcher, RunAheadNLPrefetcher
-from repro.uarch.ras import RasEntry
 
 OP_EXEC = EXEC
 OP_CALL = CALL
@@ -119,19 +110,17 @@ class CompiledTrace:
     * ``seg_start``/``seg_end`` — an EXEC event's half-open span into
       ``lines``,
     * ``lines`` — flat global line addresses of every EXEC reference,
-    * ``contig`` — 1 iff the event's lines are consecutive ascending
-      addresses (the whole-event batch's precondition),
     * ``callsite`` — pre-resolved call-site line for CALL events with a
       known caller.
     """
 
     __slots__ = (
         "n_events", "ops", "ea", "eb", "n_scaled",
-        "seg_start", "seg_end", "lines", "contig", "callsite",
+        "seg_start", "seg_end", "lines", "callsite",
     )
 
     def __init__(self, n_events, ops, ea, eb, n_scaled, seg_start,
-                 seg_end, lines, contig, callsite):
+                 seg_end, lines, callsite):
         self.n_events = n_events
         self.ops = ops
         self.ea = ea
@@ -140,7 +129,6 @@ class CompiledTrace:
         self.seg_start = seg_start
         self.seg_end = seg_end
         self.lines = lines
-        self.contig = contig
         self.callsite = callsite
 
 
@@ -199,14 +187,6 @@ def _compile_for_layout(trace, layout, ops, ea, eb):
     ) + _np.arange(total, dtype=_np.int64)
     lines_np = tbl_np[flat_idx]
 
-    contig_full = _np.zeros(n, dtype=_np.int64)
-    if ex_idx.size:
-        # contiguity: no non-adjacent pair inside the segment
-        breaks = _np.zeros(total, dtype=_np.int64)
-        if total > 1:
-            _np.cumsum(lines_np[1:] != lines_np[:-1] + 1, out=breaks[1:])
-        contig_full[ex_idx] = breaks[seg_end_ex - 1] == breaks[seg_start_ex]
-
     if isinstance(instr_scale, float):
         n_scaled_ex = (hi - lo + 1).astype(_np.float64) * instr_scale
         n_scaled_full = _np.zeros(n, dtype=_np.float64)
@@ -245,7 +225,6 @@ def _compile_for_layout(trace, layout, ops, ea, eb):
         seg_start=seg_start_full.tolist(),
         seg_end=seg_end_full.tolist(),
         lines=lines_np.tolist(),
-        contig=contig_full.tolist(),
         callsite=callsite_full.tolist(),
     )
 
@@ -376,7 +355,8 @@ def _compiled(trace, layout):
 
 
 class FastFetchEngine(FetchEngine):
-    """Drop-in replacement for :class:`FetchEngine` with the same stats.
+    """Drop-in replacement for :class:`FetchEngine` with the same stats,
+    for the configurations its kernels inline (:meth:`supports`).
 
     The inlined paths are transcriptions of the reference ``_access``/
     ``issue_prefetch``/hook bodies (same branches, same operation order)
@@ -386,84 +366,56 @@ class FastFetchEngine(FetchEngine):
     the reference recency layout is reconstructed before the run returns.
     """
 
+    @staticmethod
+    def supports(config, layout, prefetcher):
+        """Whether the kernels inline everything this configuration runs:
+        no prefetcher, exact next-N-line or run-ahead NL, or an exact
+        :class:`~repro.core.cgp.CgpPrefetcher` over a direct-mapped
+        (finite or unbounded) CGHC whose entry table is ``layout``'s —
+        and the FIFO L2 port (no ``l2_demand_priority``).
+        :func:`~repro.uarch.fetch_engine.simulate` replays anything else
+        on the reference engine."""
+        if config.l2_demand_priority:
+            return False
+        cls = type(prefetcher)
+        if prefetcher is None or cls in (
+            Prefetcher, NextNLinePrefetcher, RunAheadNLPrefetcher
+        ):
+            return True
+        from repro.core.cgp import CgpPrefetcher
+
+        return (
+            cls is CgpPrefetcher
+            and (prefetcher.cghc.infinite or prefetcher.cghc.l1.ways == 1)
+            and prefetcher._entry == layout.base_line
+        )
+
     def __init__(self, config, layout, prefetcher=None, seed=12345,
                  collector=None):
         super().__init__(config, layout, prefetcher=prefetcher, seed=seed,
                          collector=collector)
+        if not self.supports(config, layout, prefetcher):
+            raise SimulationError(
+                f"the fast engine does not inline "
+                f"{type(prefetcher).__name__} under this configuration; "
+                f"replay it with the reference engine"
+            )
         total = layout.total_lines
         #: per-line residency state, one byte per line: bit 0 set while
         #: the line is resident in L1, bit 1 set while it is resident AND
         #: still untouched since its prefetch arrived (the key set of
         #: ``_untouched``).  Non-resident lines are exactly the zero
-        #: bytes, so the batched kernels' C-level range scans
-        #: (``count(0, ...)``/``find(0, ...)``) keep working on the
-        #: merged byte, and truthiness still means "resident".
+        #: bytes, so truthiness means "resident".
         self._state = bytearray(total)
         #: bytearray mirror of the ``_in_flight`` key set — lets the
-        #: batched paths prove "this prefetch target squashes" (resident
-        #: OR in flight) with C-level range scans instead of dict probes
+        #: kernels prove "this prefetch target squashes" (resident OR in
+        #: flight) with array probes instead of dict probes
         self._iflag = bytearray(total)
         #: last-use stamp per resident line; victim = min stamp in set.
         #: Stamps are issued by one monotone counter, so min-stamp is
         #: exactly the head of the reference engine's recency list.
         self._stamp = [0] * total
         self._ctr = 0
-
-    def issue_prefetch(self, line, origin, delay=0):
-        """Reference semantics with the O(1) residency probe.
-
-        Called by the prefetcher hooks the kernels do not inline.  An
-        out-of-range request reaches the collector through the kernel's
-        exit fold of the ``SimStats`` deltas, like the inlined ones."""
-        stats = self.stats.prefetch_origin(origin)
-        collector = self.collector
-        if line < 0 or line >= self.layout.total_lines:
-            stats.out_of_range += 1
-            return False
-        if line in self._in_flight or self._state[line]:
-            stats.squashed += 1
-            if collector is not None:
-                collector.squashed(line, origin)
-            return False
-        completion, _from_mem = self.memsys.request(
-            line, self.cycle + delay, is_prefetch=True
-        )
-        self._in_flight[line] = (completion, origin)
-        self._iflag[line] = 1
-        heappush(self._arrivals, (completion, line))
-        stats.issued += 1
-        if collector is not None:
-            collector.issued(line, origin, self.cycle + delay, completion)
-        return True
-
-    def prefetch_function_head(self, fid, n_lines, origin, delay=0):
-        """Batched head prefetch (CGP's CGHC-triggered requests).  A
-        function's head lines are always inside the address space, so
-        every request squashes or issues."""
-        stats = self.stats.prefetch_origin(origin)
-        start = self.layout.base_line[fid]
-        span = self.layout.size_lines[fid]
-        count = n_lines if n_lines < span else span
-        in_flight = self._in_flight
-        state = self._state
-        iflag = self._iflag
-        arrivals = self._arrivals
-        request = self.memsys.request
-        now = self.cycle + delay
-        collector = self.collector
-        for line in range(start, start + count):
-            if line in in_flight or state[line]:
-                stats.squashed += 1
-                if collector is not None:
-                    collector.squashed(line, origin)
-            else:
-                completion, _from_mem = request(line, now, is_prefetch=True)
-                in_flight[line] = (completion, origin)
-                iflag[line] = 1
-                heappush(arrivals, (completion, line))
-                stats.issued += 1
-                if collector is not None:
-                    collector.issued(line, origin, now, completion)
 
     def _rebuild_l1_order(self):
         """Sort each set's way slots back into reference recency order
@@ -555,8 +507,6 @@ class FastFetchEngine(FetchEngine):
         perfect = config.perfect_icache
         base = layout.base_line
         total_lines = layout.total_lines
-        memsys = self.memsys
-        memsys_request = memsys.request
         ras_obj = self.ras
         rbuf = ras_obj._buffer
         rdepth = ras_obj._depth
@@ -573,10 +523,25 @@ class FastFetchEngine(FetchEngine):
         stamp = self._stamp
         ctr = self._ctr
         untouched = self._untouched
-        untouched_pop = untouched.pop
         in_flight = self._in_flight
         arrivals = self._arrivals
         sprefetch = stats.prefetch
+
+        # the memory system's FIFO port + L2, inlined; the counters
+        # are folded back at exit
+        memsys = self.memsys
+        mem_l2 = memsys.l2
+        l2ways = mem_l2.ways
+        l2_nsets = mem_l2.n_sets
+        l2_assoc = mem_l2.assoc
+        l2_insert = mem_l2.insert
+        m_hit_lat = memsys._hit_latency
+        m_mem_lat = memsys._memory_latency
+        m_occ = memsys._occupancy
+        port_free = memsys._port_free_at
+        m_trans = 0
+        m_l2h = 0
+        m_l2m = 0
 
         ops = compiled.ops
         ea = compiled.ea
@@ -585,17 +550,7 @@ class FastFetchEngine(FetchEngine):
         seg_start = compiled.seg_start
         seg_end = compiled.seg_end
         lines = compiled.lines
-        contig = compiled.contig
         callsite = compiled.callsite
-
-        cls = type(prefetcher)
-        line_hook = cls.on_line_access is not Prefetcher.on_line_access
-        do_call_hook = (
-            not perfect and cls.on_call is not Prefetcher.on_call
-        )
-        do_ret_hook = (
-            not perfect and cls.on_return is not Prefetcher.on_return
-        )
 
         # local accumulators: floats replicate the reference engine's
         # operation order exactly; integer deltas are flushed at the end
@@ -648,30 +603,12 @@ class FastFetchEngine(FetchEngine):
                 s_next = sampler.next_at
                 s_cghc = getattr(prefetcher, "cghc", None)
 
-        if (
-            not perfect
-            and not line_hook
-            and not do_call_hook
-            and not do_ret_hook
-            and not getattr(memsys, "_demand_priority", False)
-        ):
-            # ---- specialized kernel: no prefetcher hooks at all ----
-            # Nothing ever issues a prefetch, so the in-flight map, the
-            # arrival heap, and the untouched index stay empty for the
-            # whole run; every miss is a demand miss, and the memory
-            # system's FIFO-port + L2 arithmetic is inlined.
-            l2 = memsys.l2
-            l2ways = l2.ways
-            l2_nsets = l2.n_sets
-            l2_assoc = l2.assoc
-            l2_insert = l2.insert
-            hit_lat = memsys._hit_latency
-            mem_lat = memsys._memory_latency
-            occupancy = memsys._occupancy
-            port_free = memsys._port_free_at
-            transactions = 0
-            l2h = 0
-            l2m = 0
+        if perfect or type(prefetcher) is Prefetcher:
+            # ---- no-prefetcher kernel ----
+            # Nothing ever issues a prefetch (the perfect I-cache makes
+            # no line accesses and calls no hook), so the in-flight
+            # map, the arrival heap, and the untouched index stay empty
+            # for the whole run, and every miss is a demand miss.
             for i in range(ev0, ev1):
                 if obs and instructions >= s_next:
                     sampler.record(
@@ -688,23 +625,9 @@ class FastFetchEngine(FetchEngine):
                     instructions += nf
                     cycle += d
                     fetch_cycles += d
-                    s = seg_start[i]
-                    e = seg_end[i]
-                    # whole-event batch: with no prefetcher there are
-                    # no arrivals and hits never read the clock, so a
-                    # contiguous fully-resident event is pure hits —
-                    # one C-level residency count decides it
-                    if contig[i]:
-                        a0 = lines[s]
-                        k = e - s
-                        aend = a0 + k
-                        if state.count(0, a0, aend) == 0:
-                            line_accesses += k
-                            hit_count += k
-                            stamp[a0:aend] = range(ctr, ctr + k)
-                            ctr += k
-                            continue
-                    for line in lines[s:e]:
+                    if perfect:
+                        continue
+                    for line in lines[seg_start[i]:seg_end[i]]:
                         line_accesses += 1
                         if state[line]:
                             hit_count += 1
@@ -715,18 +638,16 @@ class FastFetchEngine(FetchEngine):
                         demand_misses += 1
                         if obs:
                             o_dem[line] += 1
-                        # inlined MemorySystem.request (non-priority)
+                        # inlined MemorySystem.request
                         start_t = (
                             cycle if cycle > port_free else port_free
                         )
-                        port_free = start_t + occupancy
-                        transactions += 1
+                        port_free = start_t + m_occ
+                        m_trans += 1
                         i2 = (line % l2_nsets) * l2_assoc
                         t2 = i2 + l2_assoc - 1
                         if l2ways[t2] == line:
-                            l2h += 1
-                            l2_hits += 1
-                            completion = start_t + hit_lat
+                            w = t2
                         else:
                             w = t2 - 1
                             while w >= i2:
@@ -739,17 +660,17 @@ class FastFetchEngine(FetchEngine):
                                 w -= 1
                             else:
                                 w = -1
-                            if w >= 0:
-                                l2h += 1
-                                l2_hits += 1
-                                completion = start_t + hit_lat
-                            else:
-                                l2m += 1
-                                memory_fetches += 1
-                                l2_insert(line)
-                                completion = start_t + hit_lat + mem_lat
-                                if obs:
-                                    o_mem[line] += 1
+                        if w >= 0:
+                            m_l2h += 1
+                            l2_hits += 1
+                            completion = start_t + m_hit_lat
+                        else:
+                            m_l2m += 1
+                            memory_fetches += 1
+                            l2_insert(line)
+                            completion = start_t + m_hit_lat + m_mem_lat
+                            if obs:
+                                o_mem[line] += 1
                         stall = completion - cycle
                         cycle += stall
                         stall_cycles += stall
@@ -789,7 +710,7 @@ class FastFetchEngine(FetchEngine):
                     caller = eb[i]
                     if caller >= 0:
                         # inlined RAS push (no hook ever sees entries,
-                        # so a plain tuple stands in for RasEntry)
+                        # so a plain tuple stands in for the entry)
                         rbuf[rtop] = (callsite[i], base[caller], caller)
                         rtop += 1
                         if rtop == rdepth:
@@ -825,123 +746,56 @@ class FastFetchEngine(FetchEngine):
                         cycle += penalty
                         mispredict_cycles += penalty
                 # OP_SWITCH: hardware state is shared across threads
-            memsys._port_free_at = port_free
-            memsys._demand_free_at = port_free
-            memsys.transactions += transactions
-            memsys.l2_hits += l2h
-            memsys.l2_misses += l2m
-            l2.hits += l2h
-            l2.misses += l2m
         else:
             # ---- general kernel ----
-            # sequential-prefetch inlining (see module docstring)
-            nl = None if perfect else getattr(
-                prefetcher, "nl_component", None
-            )
-            if nl is not None and type(nl) not in (
-                NextNLinePrefetcher, RunAheadNLPrefetcher
-            ):
-                nl = None
-            nl_inline = nl is not None
-            if nl_inline:
-                nl_last = nl._last_line
-                nl_lead = nl.seq_lead  # leading-edge issue distance
-                nl_fan = getattr(nl, "run_ahead", 0)  # fan-out window
-                nl_n = nl.n_lines
-                nl_origin = nl.origin
-                ps_nl = sprefetch.get(nl_origin)
-            # on pure hits a flag-gated hook (tagged NL) is a no-op
-            hook_on_hit = (
-                line_hook
-                and not nl_inline
-                and not getattr(prefetcher, "hit_transparent", False)
-            )
-            # an event that is entirely resident-and-touched can batch
-            # when the only per-line work a pure hit performs is the
-            # inlined NL automaton (or nothing at all: a hook that
-            # skips pure hits never fires inside such an event)
-            batch_ok = nl_inline or not hook_on_hit
-            # first-touch-transparent batching: the plain-NL automaton
-            # (and an absent line hook) is insensitive to whether a hit
-            # first-touches a prefetched line, so runs may also batch
-            # across resident-*untouched* lines (state 3) with the
-            # touch accounting folded in by a find(3) walk; a
-            # hit-transparent hook (tagged NL) fires on first touches
-            # and must see them per-line
-            batch_touch = nl_inline or not line_hook
+            # Every supported prefetcher exports ``nl_component`` (NL
+            # and RA-NL are their own; CGP's is its within-function NL),
+            # whose ``on_line_access`` is exactly the sequential-NL
+            # automaton inlined below.
+            nl = prefetcher.nl_component
+            nl_last = nl._last_line
+            nl_lead = nl.seq_lead  # leading-edge issue distance
+            nl_fan = getattr(nl, "run_ahead", 0)  # fan-out window
+            nl_n = nl.n_lines
+            nl_origin = nl.origin
+            ps_nl = sprefetch.get(nl_origin)
 
-            # CGP call/return CGHC accesses, inlined (exact class,
-            # finite direct-mapped history cache only): the dict cache
-            # is flattened into parallel arrays at kernel entry, the
+            # CGP call/return CGHC accesses, inlined: the dict cache is
+            # flattened into per-set lists at kernel entry, the
             # dominant first-level probe becomes one tag compare
             # against a precompiled set-index table, and the rare
             # exchange/miss path runs ``FlatCghc.ensure`` on the same
-            # arrays.  The dict representation is stale until
+            # lists.  The dict representation is stale until
             # ``write_back`` at kernel exit; the live image is parked
             # on the cache so mid-run observers (``entry_count``) read
             # current state.
-            cgp_inline = False
-            if do_call_hook and do_ret_hook:
-                from repro.core.cgp import ORIGIN_CGHC, CgpPrefetcher
-                from repro.core.cghc import FlatCghc
+            from repro.core.cgp import ORIGIN_CGHC, CgpPrefetcher
+            from repro.core.cghc import FlatCghc
 
-                if (
-                    type(prefetcher) is CgpPrefetcher
-                    and not prefetcher.cghc.infinite
-                    and prefetcher.cghc.l1.ways == 1
-                ):
-                    cgp_inline = True
-                    cgp_n = prefetcher.lines_per_prefetch
-                    cghc = prefetcher.cghc
-                    cg_flat = FlatCghc.from_cache(cghc)
-                    cghc._live_flat = cg_flat
-                    cg_ensure = cg_flat.ensure
-                    f1_tag = cg_flat.l1_tag
-                    f1_idx = cg_flat.l1_idx
-                    f1_len = cg_flat.l1_len
-                    f1_seq = cg_flat.l1_seq
-                    cg_K = cg_flat.slots
-                    cg_lat1 = cg_flat.lat1
-                    # fid -> L1 set index of the function's entry-line
-                    # tag, compiled once per (layout, CGHC geometry)
-                    cg_set1 = _cghc_set_tables(
-                        layout, cg_flat.n1, cg_flat.n2
-                    )[0]
-                    entry_lines = prefetcher._entry
-                    # per-layout head table: fid -> one-past-last line
-                    # of the CGHC-triggered head-prefetch window, the
-                    # min(N, size) clamp folded in at build time
-                    cg_head_end = layout.head_extents(cgp_n)
-                    cg_origin = ORIGIN_CGHC
-                    ps_cg = sprefetch.get(cg_origin)
-                    cg_h1 = 0
-
-            # a plain tuple can stand in for RasEntry (index access is
-            # identical) unless a real return hook receives the entries
-            ras_plain = cgp_inline or not do_ret_hook
-
-            # memory-system inlining is sound only when no real hook can
-            # run (a hook could issue through the shared path and would
-            # then see a stale port clock)
-            inline_mem = (
-                not getattr(memsys, "_demand_priority", False)
-                and (nl_inline or not line_hook)
-                and (cgp_inline or not do_call_hook)
-                and (cgp_inline or not do_ret_hook)
-            )
-            if inline_mem:
-                mem_l2 = memsys.l2
-                l2ways = mem_l2.ways
-                l2_nsets = mem_l2.n_sets
-                l2_assoc = mem_l2.assoc
-                l2_insert = mem_l2.insert
-                m_hit_lat = memsys._hit_latency
-                m_mem_lat = memsys._memory_latency
-                m_occ = memsys._occupancy
-                port_free = memsys._port_free_at
-                m_trans = 0
-                m_l2h = 0
-                m_l2m = 0
+            cgp_inline = type(prefetcher) is CgpPrefetcher
+            if cgp_inline:
+                cgp_n = prefetcher.lines_per_prefetch
+                cghc = prefetcher.cghc
+                cg_flat = FlatCghc.from_cache(cghc, total_lines)
+                cghc._live_flat = cg_flat
+                cg_ensure = cg_flat.ensure
+                f1_tag = cg_flat.l1_tag
+                f1_idx = cg_flat.l1_idx
+                f1_seq = cg_flat.l1_seq
+                cg_K = cg_flat.slots
+                cg_lat1 = cg_flat.lat1
+                # fid -> L1 set index of the function's entry-line
+                # tag, compiled once per (layout, CGHC geometry)
+                cg_set1 = _cghc_set_tables(
+                    layout, cg_flat.n1, cg_flat.n2
+                )[0]
+                # per-layout head table: fid -> one-past-last line of
+                # the CGHC-triggered head-prefetch window, the
+                # min(N, size) clamp folded in at build time
+                cg_head_end = layout.head_extents(cgp_n)
+                cg_origin = ORIGIN_CGHC
+                ps_cg = sprefetch.get(cg_origin)
+                cg_h1 = 0
 
             # completion time of the earliest outstanding prefetch,
             # hoisted out of the arrival heap: the per-line delivery
@@ -949,9 +803,7 @@ class FastFetchEngine(FetchEngine):
             next_due = arrivals[0][0] if arrivals else _inf
 
             # ---- flat prefetch lifecycle ----
-            # When every hook is inlined (no callback can reach the
-            # engine's reference-path methods mid-kernel), the
-            # in-flight and untouched maps are held as line-indexed
+            # The in-flight and untouched maps are held as line-indexed
             # arrays for the whole kernel: membership stays the
             # existing ``iflag`` byte / state bit 2, a record is the
             # completion time plus the issuing origin's stats row in
@@ -960,22 +812,15 @@ class FastFetchEngine(FetchEngine):
             # EngineState snapshots and ``_finalize`` never see the
             # flat form.  A record consumed by a delayed hit leaves its
             # heap entry behind, so a drain install additionally
-            # requires the popped completion to match the live record
-            # (the dict path gets this for free from ``pop``).
-            fast_life = (
-                (nl_inline or not line_hook)
-                and (cgp_inline or not do_call_hook)
-                and (cgp_inline or not do_ret_hook)
-            )
-            if fast_life:
-                if_comp = [0.0] * total_lines
-                if_ps = [None] * total_lines
-                for fl, fr in in_flight.items():
-                    if_comp[fl] = fr[0]
-                    if_ps[fl] = sprefetch[fr[1]]
-                u_ps = [None] * total_lines
-                for fl, fo in untouched.items():
-                    u_ps[fl] = sprefetch[fo]
+            # requires the popped completion to match the live record.
+            if_comp = [0.0] * total_lines
+            if_ps = [None] * total_lines
+            for fl, fr in in_flight.items():
+                if_comp[fl] = fr[0]
+                if_ps[fl] = sprefetch[fr[1]]
+            u_ps = [None] * total_lines
+            for fl, fo in untouched.items():
+                u_ps[fl] = sprefetch[fo]
 
             for i in range(ev0, ev1):
                 if obs and instructions >= s_next:
@@ -993,45 +838,19 @@ class FastFetchEngine(FetchEngine):
                     instructions += nf
                     cycle += d
                     fetch_cycles += d
-                    if perfect:
-                        continue
-                    s = seg_start[i]
-                    e = seg_end[i]
-                    if batch_ok and contig[i] and e - s > 1:
-                        # ---- whole-event batch attempt ----
-                        # One cheap residency count decides it: a
-                        # contiguous multi-line event whose lines are
-                        # all resident is pure hits — the cycle clock
-                        # is frozen across it, residency cannot change
-                        # mid-event, and the inlined NL automaton's
-                        # issue attempts over the event collapse into
-                        # one ascending contiguous target span
-                        # (docs/BENCHMARKS.md) walked in the
-                        # reference's per-target FIFO-port order.  Due
-                        # arrivals are drained up front (exactly what
-                        # the per-line loop would do on its first
-                        # iteration).  A blocked event — any line
-                        # absent, in flight, or (under a first-touch
-                        # sensitive hook) untouched — costs only the
-                        # count and falls through to the per-line
-                        # loop, which re-drains as it goes.
+                    for line in lines[seg_start[i]:seg_end[i]]:
+                        # ---- inlined reference _access ----
                         if cycle >= next_due:
-                            # drain due arrivals (same install as
-                            # the per-line loop) so a pending
-                            # delivery never blocks batching
                             while arrivals and arrivals[0][0] <= cycle:
                                 _arrival, aline = heappop(arrivals)
-                                if fast_life:
-                                    if (
-                                        not iflag[aline]
-                                        or if_comp[aline] != _arrival
-                                    ):
-                                        continue
-                                else:
-                                    record = in_flight.pop(aline, None)
-                                    if record is None:
-                                        continue
+                                if (
+                                    not iflag[aline]
+                                    or if_comp[aline] != _arrival
+                                ):
+                                    continue
                                 iflag[aline] = 0
+                                # inlined _install(aline, origin):
+                                # in flight, so known absent
                                 ai = (aline % n_sets) * assoc
                                 aw = ai + assoc
                                 w = ai
@@ -1052,11 +871,7 @@ class FastFetchEngine(FetchEngine):
                                     victim = ways[vs]
                                     ways[vs] = aline
                                     if state[victim] & 2:
-                                        if fast_life:
-                                            u_ps[victim].useless += 1
-                                        else:
-                                            vo = untouched_pop(victim)
-                                            sprefetch[vo].useless += 1
+                                        u_ps[victim].useless += 1
                                         if obs:
                                             o_use[victim] += 1
                                             if lc:
@@ -1066,85 +881,221 @@ class FastFetchEngine(FetchEngine):
                                                     "useless", cycle,
                                                 ))
                                     state[victim] = 0
-                                state[aline] = 3
+                                state[aline] = 3  # resident+untouched
                                 stamp[aline] = ctr
                                 ctr += 1
-                                if fast_life:
-                                    u_ps[aline] = if_ps[aline]
-                                else:
-                                    untouched[aline] = record[1]
+                                u_ps[aline] = if_ps[aline]
                             next_due = (
                                 arrivals[0][0] if arrivals else _inf
                             )
-                        a0 = lines[s]
-                        k = e - s
-                        aend = a0 + k
-                        if not state.count(0, a0, aend) and (
-                            batch_touch
-                            or state.count(1, a0, aend) == k
-                        ):
-                            line_accesses += k
-                            hit_count += k
-                            stamp[a0:aend] = range(ctr, ctr + k)
-                            ctr += k
-                            if batch_touch:
-                                # fold in the first touches the
-                                # per-line loop would have classified
-                                z = state.find(3, a0, aend)
-                                while z >= 0:
-                                    state[z] = 1
-                                    if fast_life:
-                                        u_ps[z].pref_hits += 1
+                        line_accesses += 1
+                        if state[line]:
+                            # resident: refresh the stamp (= reference
+                            # promote-to-MRU), classify the touch
+                            hit_count += 1
+                            stamp[line] = ctr
+                            ctr += 1
+                            if state[line] & 2:
+                                state[line] = 1
+                                u_ps[line].pref_hits += 1
+                                if obs:
+                                    o_ph[line] += 1
+                                    if lc:
+                                        lc_n += 1
+                                        lc_ring((
+                                            line, lc_pop(line),
+                                            "pref_hit", cycle,
+                                        ))
+                        else:
+                            miss_count += 1
+                            if iflag[line]:
+                                # delayed hit: stall residual latency
+                                iflag[line] = 0
+                                ps = if_ps[line]
+                                ps.delayed_hits += 1
+                                stall = if_comp[line] - cycle
+                                if stall > 0:
+                                    cycle += stall
+                                    stall_cycles += stall
+                                if obs:
+                                    o_dly[line] += 1
+                                    o_late[id(ps)][
+                                        int(stall).bit_length()
+                                    ] += 1
+                                    if lc:
+                                        lc_n += 1
+                                        lc_ring((
+                                            line, lc_pop(line),
+                                            "delayed_hit", cycle,
+                                        ))
+                            else:
+                                # demand miss
+                                demand_misses += 1
+                                if obs:
+                                    o_dem[line] += 1
+                                # inlined MemorySystem.request
+                                start_t = (
+                                    cycle if cycle > port_free
+                                    else port_free
+                                )
+                                port_free = start_t + m_occ
+                                m_trans += 1
+                                i2 = (line % l2_nsets) * l2_assoc
+                                t2 = i2 + l2_assoc - 1
+                                if l2ways[t2] == line:
+                                    w = t2
+                                else:
+                                    w = t2 - 1
+                                    while w >= i2:
+                                        if l2ways[w] == line:
+                                            while w < t2:
+                                                l2ways[w] = l2ways[w + 1]
+                                                w += 1
+                                            l2ways[t2] = line
+                                            break
+                                        w -= 1
                                     else:
-                                        sprefetch[
-                                            untouched_pop(z)
-                                        ].pref_hits += 1
+                                        w = -1
+                                if w >= 0:
+                                    m_l2h += 1
+                                    l2_hits += 1
+                                    completion = start_t + m_hit_lat
+                                else:
+                                    m_l2m += 1
+                                    memory_fetches += 1
+                                    l2_insert(line)
+                                    completion = (
+                                        start_t + m_hit_lat + m_mem_lat
+                                    )
                                     if obs:
-                                        o_ph[z] += 1
+                                        o_mem[line] += 1
+                                stall = completion - cycle
+                                cycle += stall
+                                stall_cycles += stall
+                            # inlined _install(line): known absent
+                            idx = (line % n_sets) * assoc
+                            iw = idx + assoc
+                            w = idx
+                            while w < iw and ways[w] >= 0:
+                                w += 1
+                            if w < iw:
+                                ways[w] = line
+                            else:
+                                vs = idx
+                                vmin = stamp[ways[idx]]
+                                w = idx + 1
+                                while w < iw:
+                                    sv = stamp[ways[w]]
+                                    if sv < vmin:
+                                        vmin = sv
+                                        vs = w
+                                    w += 1
+                                victim = ways[vs]
+                                ways[vs] = line
+                                if state[victim] & 2:
+                                    u_ps[victim].useless += 1
+                                    if obs:
+                                        o_use[victim] += 1
                                         if lc:
                                             lc_n += 1
                                             lc_ring((
-                                                z, lc_pop(z),
-                                                "pref_hit", cycle,
+                                                victim, lc_pop(victim),
+                                                "useless", cycle,
                                             ))
-                                    z = state.find(3, z + 1, aend)
-                            if not nl_inline:
-                                continue
-                            # one span for the whole event: continuing
-                            # (every line a leading edge), resuming
-                            # after a repeat, or a jump whose fan-out
-                            # window abuts the following leading-edge
-                            # targets (seq_lead == run_ahead + n_lines);
-                            # k > 1 makes the span non-empty in every
-                            # case
-                            if a0 == nl_last + 1:
-                                t0 = a0 + nl_lead
-                            elif a0 == nl_last:
-                                t0 = a0 + 1 + nl_lead
-                            else:
-                                t0 = a0 + nl_fan + 1
-                            t1 = aend + nl_lead
-                            nl_last = aend - 1
+                                state[victim] = 0
+                            state[line] = 1
+                            stamp[line] = ctr
+                            ctr += 1
+                        # ---- inlined NL automaton ----
+                        if line == nl_last + 1:
+                            # leading edge: issue line + lead
+                            pl = line + nl_lead
                             if ps_nl is None:
                                 ps_nl = stats.prefetch_origin(nl_origin)
-                            t1c = (
-                                t1 if t1 <= total_lines else total_lines
-                            )
+                            if pl >= total_lines:
+                                ps_nl.out_of_range += 1
+                            elif state[pl] or iflag[pl]:
+                                ps_nl.squashed += 1
+                                if obs:
+                                    o_att[pl] += 1
+                                    o_att[pl + 1] -= 1
+                            else:
+                                start_t = (
+                                    cycle if cycle > port_free
+                                    else port_free
+                                )
+                                port_free = start_t + m_occ
+                                m_trans += 1
+                                i2 = (pl % l2_nsets) * l2_assoc
+                                t2 = i2 + l2_assoc - 1
+                                if l2ways[t2] == pl:
+                                    w = t2
+                                else:
+                                    w = t2 - 1
+                                    while w >= i2:
+                                        if l2ways[w] == pl:
+                                            while w < t2:
+                                                l2ways[w] = l2ways[w + 1]
+                                                w += 1
+                                            l2ways[t2] = pl
+                                            break
+                                        w -= 1
+                                    else:
+                                        w = -1
+                                if w >= 0:
+                                    m_l2h += 1
+                                    completion = start_t + m_hit_lat
+                                else:
+                                    m_l2m += 1
+                                    l2_insert(pl)
+                                    completion = (
+                                        start_t + m_hit_lat + m_mem_lat
+                                    )
+                                if_comp[pl] = completion
+                                if_ps[pl] = ps_nl
+                                iflag[pl] = 1
+                                heappush(arrivals, (completion, pl))
+                                if completion < next_due:
+                                    next_due = completion
+                                ps_nl.issued += 1
+                                if obs:
+                                    o_att[pl] += 1
+                                    o_att[pl + 1] -= 1
+                                    o_iss[pl] += 1
+                                    if lc:
+                                        lc_open[pl] = (
+                                            nl_origin, cycle, completion
+                                        )
+                            nl_last = line
+                        elif line != nl_last:
+                            # jump: fan out over the full window
+                            # [t0, t1) in one span walk.  No line
+                            # access happens inside a fan, so
+                            # residency/in-flight state is frozen while
+                            # it runs: ascending order IS the
+                            # reference's per-target FIFO port order,
+                            # every in-range target resident or in
+                            # flight (``iflag``) squashes, and the
+                            # squashes are recorded as the span's
+                            # attempt coverage
+                            if ps_nl is None:
+                                ps_nl = stats.prefetch_origin(nl_origin)
+                            t0 = line + nl_fan + 1
+                            t1 = t0 + nl_n
+                            t1c = t1 if t1 <= total_lines else total_lines
                             if t1c <= t0:
-                                ps_nl.out_of_range += t1 - t0
-                                continue
-                            if t1 > t1c:
-                                ps_nl.out_of_range += t1 - t1c
-                            squash = t1c - t0
-                            if obs:
-                                o_att[t0] += 1
-                                o_att[t1c] -= 1
-                            tz = state.find(0, t0, t1c)
-                            while tz >= 0 and iflag[tz]:
-                                tz = state.find(0, tz + 1, t1c)
-                            while tz >= 0:
-                                squash -= 1
-                                if inline_mem:
+                                ps_nl.out_of_range += nl_n
+                            else:
+                                if t1 > t1c:
+                                    ps_nl.out_of_range += t1 - t1c
+                                squash = t1c - t0
+                                if obs:
+                                    o_att[t0] += 1
+                                    o_att[t1c] -= 1
+                                for tz in range(t0, t1c):
+                                    if state[tz] or iflag[tz]:
+                                        continue
+                                    squash -= 1
                                     start_t = (
                                         cycle if cycle > port_free
                                         else port_free
@@ -1176,472 +1127,25 @@ class FastFetchEngine(FetchEngine):
                                         m_l2m += 1
                                         l2_insert(tz)
                                         completion = (
-                                            start_t
-                                            + m_hit_lat
-                                            + m_mem_lat
-                                        )
-                                else:
-                                    completion, _mem = memsys_request(
-                                        tz, cycle, is_prefetch=True
-                                    )
-                                if fast_life:
-                                    if_comp[tz] = completion
-                                    if_ps[tz] = ps_nl
-                                else:
-                                    in_flight[tz] = (completion, nl_origin)
-                                iflag[tz] = 1
-                                heappush(arrivals, (completion, tz))
-                                if completion < next_due:
-                                    next_due = completion
-                                ps_nl.issued += 1
-                                if obs:
-                                    o_iss[tz] += 1
-                                    if lc:
-                                        lc_open[tz] = (
-                                            nl_origin, cycle, completion
-                                        )
-                                tz = state.find(0, tz + 1, t1c)
-                                while tz >= 0 and iflag[tz]:
-                                    tz = state.find(0, tz + 1, t1c)
-                            ps_nl.squashed += squash
-                            continue
-                    for line in lines[s:e]:
-                        # ---- inlined reference _access ----
-                        if cycle >= next_due:
-                            while arrivals and arrivals[0][0] <= cycle:
-                                _arrival, aline = heappop(arrivals)
-                                if fast_life:
-                                    if (
-                                        not iflag[aline]
-                                        or if_comp[aline] != _arrival
-                                    ):
-                                        continue
-                                else:
-                                    record = in_flight.pop(aline, None)
-                                    if record is None:
-                                        continue
-                                iflag[aline] = 0
-                                # inlined _install(aline, origin):
-                                # in flight, so known absent
-                                ai = (aline % n_sets) * assoc
-                                aw = ai + assoc
-                                w = ai
-                                while w < aw and ways[w] >= 0:
-                                    w += 1
-                                if w < aw:
-                                    ways[w] = aline
-                                else:
-                                    vs = ai
-                                    vmin = stamp[ways[ai]]
-                                    w = ai + 1
-                                    while w < aw:
-                                        sv = stamp[ways[w]]
-                                        if sv < vmin:
-                                            vmin = sv
-                                            vs = w
-                                        w += 1
-                                    victim = ways[vs]
-                                    ways[vs] = aline
-                                    if state[victim] & 2:
-                                        if fast_life:
-                                            u_ps[victim].useless += 1
-                                        else:
-                                            vo = untouched_pop(victim)
-                                            sprefetch[vo].useless += 1
-                                        if obs:
-                                            o_use[victim] += 1
-                                            if lc:
-                                                lc_n += 1
-                                                lc_ring((
-                                                    victim, lc_pop(victim),
-                                                    "useless", cycle,
-                                                ))
-                                    state[victim] = 0
-                                state[aline] = 3  # resident+untouched
-                                stamp[aline] = ctr
-                                ctr += 1
-                                if fast_life:
-                                    u_ps[aline] = if_ps[aline]
-                                else:
-                                    untouched[aline] = record[1]
-                            next_due = (
-                                arrivals[0][0] if arrivals else _inf
-                            )
-                        line_accesses += 1
-                        if state[line]:
-                            # resident: refresh the stamp (= reference
-                            # promote-to-MRU), classify the touch
-                            hit_count += 1
-                            stamp[line] = ctr
-                            ctr += 1
-                            missed = False
-                            if state[line] & 2:
-                                state[line] = 1
-                                if fast_life:
-                                    u_ps[line].pref_hits += 1
-                                else:
-                                    sprefetch[
-                                        untouched_pop(line)
-                                    ].pref_hits += 1
-                                if obs:
-                                    o_ph[line] += 1
-                                    if lc:
-                                        lc_n += 1
-                                        lc_ring((
-                                            line, lc_pop(line),
-                                            "pref_hit", cycle,
-                                        ))
-                                first_touch = True
-                            else:
-                                first_touch = False
-                        else:
-                            miss_count += 1
-                            if iflag[line]:
-                                # delayed hit: stall residual latency
-                                iflag[line] = 0
-                                if fast_life:
-                                    arrival = if_comp[line]
-                                    ps = if_ps[line]
-                                else:
-                                    arrival, origin0 = in_flight.pop(line)
-                                    ps = sprefetch[origin0]
-                                ps.delayed_hits += 1
-                                stall = arrival - cycle
-                                if stall > 0:
-                                    cycle += stall
-                                    stall_cycles += stall
-                                if obs:
-                                    o_dly[line] += 1
-                                    o_late[id(ps)][
-                                        int(stall).bit_length()
-                                    ] += 1
-                                    if lc:
-                                        lc_n += 1
-                                        lc_ring((
-                                            line, lc_pop(line),
-                                            "delayed_hit", cycle,
-                                        ))
-                                first_touch = True
-                                missed = False
-                            else:
-                                # demand miss
-                                demand_misses += 1
-                                if obs:
-                                    o_dem[line] += 1
-                                if inline_mem:
-                                    # inlined MemorySystem.request
-                                    start_t = (
-                                        cycle if cycle > port_free
-                                        else port_free
-                                    )
-                                    port_free = start_t + m_occ
-                                    m_trans += 1
-                                    i2 = (line % l2_nsets) * l2_assoc
-                                    t2 = i2 + l2_assoc - 1
-                                    if l2ways[t2] == line:
-                                        w = t2
-                                    else:
-                                        w = t2 - 1
-                                        while w >= i2:
-                                            if l2ways[w] == line:
-                                                while w < t2:
-                                                    l2ways[w] = (
-                                                        l2ways[w + 1]
-                                                    )
-                                                    w += 1
-                                                l2ways[t2] = line
-                                                break
-                                            w -= 1
-                                        else:
-                                            w = -1
-                                    if w >= 0:
-                                        m_l2h += 1
-                                        l2_hits += 1
-                                        completion = start_t + m_hit_lat
-                                    else:
-                                        m_l2m += 1
-                                        memory_fetches += 1
-                                        l2_insert(line)
-                                        completion = (
                                             start_t + m_hit_lat + m_mem_lat
                                         )
-                                        if obs:
-                                            o_mem[line] += 1
-                                else:
-                                    completion, from_mem = memsys_request(
-                                        line, cycle, is_prefetch=False
-                                    )
-                                    if from_mem:
-                                        memory_fetches += 1
-                                        if obs:
-                                            o_mem[line] += 1
-                                    else:
-                                        l2_hits += 1
-                                stall = completion - cycle
-                                cycle += stall
-                                stall_cycles += stall
-                                missed = True
-                                first_touch = False
-                            # inlined _install(line): known absent
-                            idx = (line % n_sets) * assoc
-                            iw = idx + assoc
-                            w = idx
-                            while w < iw and ways[w] >= 0:
-                                w += 1
-                            if w < iw:
-                                ways[w] = line
-                            else:
-                                vs = idx
-                                vmin = stamp[ways[idx]]
-                                w = idx + 1
-                                while w < iw:
-                                    sv = stamp[ways[w]]
-                                    if sv < vmin:
-                                        vmin = sv
-                                        vs = w
-                                    w += 1
-                                victim = ways[vs]
-                                ways[vs] = line
-                                if state[victim] & 2:
-                                    if fast_life:
-                                        u_ps[victim].useless += 1
-                                    else:
-                                        vo = untouched_pop(victim)
-                                        sprefetch[vo].useless += 1
-                                    if obs:
-                                        o_use[victim] += 1
-                                        if lc:
-                                            lc_n += 1
-                                            lc_ring((
-                                                victim, lc_pop(victim),
-                                                "useless", cycle,
-                                            ))
-                                state[victim] = 0
-                            state[line] = 1
-                            stamp[line] = ctr
-                            ctr += 1
-                        # ---- prefetcher hook ----
-                        if nl_inline:
-                            if line == nl_last + 1:
-                                # leading edge: issue line + lead
-                                pl = line + nl_lead
-                                if ps_nl is None:
-                                    ps_nl = stats.prefetch_origin(
-                                        nl_origin
-                                    )
-                                if pl < 0 or pl >= total_lines:
-                                    ps_nl.out_of_range += 1
-                                elif state[pl] or iflag[pl]:
-                                    ps_nl.squashed += 1
-                                    if obs:
-                                        o_att[pl] += 1
-                                        o_att[pl + 1] -= 1
-                                else:
-                                    if inline_mem:
-                                        start_t = (
-                                            cycle if cycle > port_free
-                                            else port_free
-                                        )
-                                        port_free = start_t + m_occ
-                                        m_trans += 1
-                                        i2 = (pl % l2_nsets) * l2_assoc
-                                        t2 = i2 + l2_assoc - 1
-                                        if l2ways[t2] == pl:
-                                            w = t2
-                                        else:
-                                            w = t2 - 1
-                                            while w >= i2:
-                                                if l2ways[w] == pl:
-                                                    while w < t2:
-                                                        l2ways[w] = (
-                                                            l2ways[w + 1]
-                                                        )
-                                                        w += 1
-                                                    l2ways[t2] = pl
-                                                    break
-                                                w -= 1
-                                            else:
-                                                w = -1
-                                        if w >= 0:
-                                            m_l2h += 1
-                                            completion = (
-                                                start_t + m_hit_lat
-                                            )
-                                        else:
-                                            m_l2m += 1
-                                            l2_insert(pl)
-                                            completion = (
-                                                start_t
-                                                + m_hit_lat
-                                                + m_mem_lat
-                                            )
-                                    else:
-                                        completion, _mem = memsys_request(
-                                            pl, cycle, is_prefetch=True
-                                        )
-                                    if fast_life:
-                                        if_comp[pl] = completion
-                                        if_ps[pl] = ps_nl
-                                    else:
-                                        in_flight[pl] = (
-                                            completion, nl_origin
-                                        )
-                                    iflag[pl] = 1
-                                    heappush(arrivals, (completion, pl))
+                                    if_comp[tz] = completion
+                                    if_ps[tz] = ps_nl
+                                    iflag[tz] = 1
+                                    heappush(arrivals, (completion, tz))
                                     if completion < next_due:
                                         next_due = completion
                                     ps_nl.issued += 1
                                     if obs:
-                                        o_att[pl] += 1
-                                        o_att[pl + 1] -= 1
-                                        o_iss[pl] += 1
+                                        o_iss[tz] += 1
                                         if lc:
-                                            lc_open[pl] = (
-                                                nl_origin, cycle, completion
+                                            lc_open[tz] = (
+                                                nl_origin, cycle,
+                                                completion,
                                             )
-                                nl_last = line
-                            elif line != nl_last:
-                                # jump: fan out over the full window
-                                # [t0, t1) as one batched span walk.
-                                # No line access happens inside a fan,
-                                # so residency/in-flight state is
-                                # frozen while it runs: ``find`` jumps
-                                # straight to the targets that actually
-                                # issue (ascending order IS the
-                                # reference's per-target FIFO port
-                                # order) and every skipped in-range
-                                # target squashes — resident or in
-                                # flight (``iflag``)
-                                if ps_nl is None:
-                                    ps_nl = stats.prefetch_origin(
-                                        nl_origin
-                                    )
-                                t0 = line + nl_fan + 1
-                                t1 = t0 + nl_n
-                                t1c = (
-                                    t1 if t1 <= total_lines
-                                    else total_lines
-                                )
-                                if t1c <= t0:
-                                    ps_nl.out_of_range += nl_n
-                                else:
-                                    if t1 > t1c:
-                                        ps_nl.out_of_range += t1 - t1c
-                                    squash = t1c - t0
-                                    if obs:
-                                        o_att[t0] += 1
-                                        o_att[t1c] -= 1
-                                    tz = state.find(0, t0, t1c)
-                                    while tz >= 0 and iflag[tz]:
-                                        tz = state.find(
-                                            0, tz + 1, t1c
-                                        )
-                                    while tz >= 0:
-                                        squash -= 1
-                                        if inline_mem:
-                                            start_t = (
-                                                cycle
-                                                if cycle > port_free
-                                                else port_free
-                                            )
-                                            port_free = (
-                                                start_t + m_occ
-                                            )
-                                            m_trans += 1
-                                            i2 = (
-                                                (tz % l2_nsets)
-                                                * l2_assoc
-                                            )
-                                            t2 = i2 + l2_assoc - 1
-                                            if l2ways[t2] == tz:
-                                                w = t2
-                                            else:
-                                                w = t2 - 1
-                                                while w >= i2:
-                                                    if (
-                                                        l2ways[w]
-                                                        == tz
-                                                    ):
-                                                        while w < t2:
-                                                            l2ways[
-                                                                w
-                                                            ] = l2ways[
-                                                                w + 1
-                                                            ]
-                                                            w += 1
-                                                        l2ways[
-                                                            t2
-                                                        ] = tz
-                                                        break
-                                                    w -= 1
-                                                else:
-                                                    w = -1
-                                            if w >= 0:
-                                                m_l2h += 1
-                                                completion = (
-                                                    start_t
-                                                    + m_hit_lat
-                                                )
-                                            else:
-                                                m_l2m += 1
-                                                l2_insert(tz)
-                                                completion = (
-                                                    start_t
-                                                    + m_hit_lat
-                                                    + m_mem_lat
-                                                )
-                                        else:
-                                            completion, _mem = (
-                                                memsys_request(
-                                                    tz, cycle,
-                                                    is_prefetch=True,
-                                                )
-                                            )
-                                        if fast_life:
-                                            if_comp[tz] = completion
-                                            if_ps[tz] = ps_nl
-                                        else:
-                                            in_flight[tz] = (
-                                                completion, nl_origin
-                                            )
-                                        iflag[tz] = 1
-                                        heappush(
-                                            arrivals,
-                                            (completion, tz),
-                                        )
-                                        if completion < next_due:
-                                            next_due = completion
-                                        ps_nl.issued += 1
-                                        if obs:
-                                            o_iss[tz] += 1
-                                            if lc:
-                                                lc_open[tz] = (
-                                                    nl_origin, cycle,
-                                                    completion,
-                                                )
-                                        tz = state.find(
-                                            0, tz + 1, t1c
-                                        )
-                                        while tz >= 0 and iflag[tz]:
-                                            tz = state.find(
-                                                0, tz + 1, t1c
-                                            )
-                                    ps_nl.squashed += squash
-                                nl_last = line
-                            # line == nl_last: automaton no-op
-                        elif line_hook and (
-                            hook_on_hit or missed or first_touch
-                        ):
-                            self.cycle = cycle
-                            self._ctr = ctr
-                            self.last_access_missed = missed
-                            self.last_access_first_touch = first_touch
-                            prefetcher.on_line_access(line, self)
-                            cycle = self.cycle
-                            ctr = self._ctr
-                            next_due = (
-                                arrivals[0][0] if arrivals else _inf
-                            )
+                                ps_nl.squashed += squash
+                            nl_last = line
+                        # line == nl_last: automaton no-op
                     continue
                 elif op == OP_CALL:
                     calls += 1
@@ -1659,15 +1163,9 @@ class FastFetchEngine(FetchEngine):
                         mispredict_cycles += penalty
                     caller = eb[i]
                     if caller >= 0:
-                        # inlined RAS push
-                        if ras_plain:
-                            rbuf[rtop] = (
-                                callsite[i], base[caller], caller
-                            )
-                        else:
-                            rbuf[rtop] = RasEntry(
-                                callsite[i], base[caller], caller
-                            )
+                        # inlined RAS push (no hook ever sees entries,
+                        # so a plain tuple stands in for the entry)
+                        rbuf[rtop] = (callsite[i], base[caller], caller)
                         rtop += 1
                         if rtop == rdepth:
                             rtop = 0
@@ -1675,22 +1173,12 @@ class FastFetchEngine(FetchEngine):
                             rcount += 1
                         else:
                             r_over += 1
-                    if not cgp_inline:
-                        if do_call_hook:
-                            self.cycle = cycle
-                            self._rng_state = rng
-                            prefetcher.on_call(caller, ea[i], predicted,
-                                               self)
-                            cycle = self.cycle
-                            rng = self._rng_state
-                            next_due = arrivals[0][0] if arrivals else _inf
-                        continue
-                    if not predicted:
+                    if not (cgp_inline and predicted):
                         continue
                     # ---- inlined CgpPrefetcher.on_call ----
                     callee = ea[i]
                     # prefetch access keyed by the target
-                    tag = entry_lines[callee]
+                    tag = base[callee]
                     cs1 = cg_set1[callee]
                     if f1_tag[cs1] == tag:
                         cg_h1 += 1
@@ -1702,14 +1190,15 @@ class FastFetchEngine(FetchEngine):
                         if obs:
                             o_cghc[level][tag] += 1
                     # prefetch_function_head(first_callee), walked below
-                    if f1_len[cs1]:
-                        head = f1_seq[cs1 * cg_K]
+                    seq = f1_seq[cs1]
+                    if seq:
+                        head = seq[0]
                         now2 = cycle + (latency + 1)
                     else:
                         head = -1
                     # update access keyed by the caller
                     if caller >= 0:
-                        tag = entry_lines[caller]
+                        tag = base[caller]
                         cs1 = cg_set1[caller]
                         if f1_tag[cs1] == tag:
                             cg_h1 += 1
@@ -1722,9 +1211,11 @@ class FastFetchEngine(FetchEngine):
                         # inlined CghcEntry.record_call
                         slot = f1_idx[cs1] - 1
                         if slot < cg_K:
-                            f1_seq[cs1 * cg_K + slot] = callee
-                            if slot == f1_len[cs1]:
-                                f1_len[cs1] = slot + 1
+                            seq = f1_seq[cs1]
+                            if slot < len(seq):
+                                seq[slot] = callee
+                            else:
+                                seq.append(callee)
                             f1_idx[cs1] = slot + 2
                 elif op == OP_RET:
                     returns += 1
@@ -1743,24 +1234,17 @@ class FastFetchEngine(FetchEngine):
                         entry = rbuf[rtop]
                         rbuf[rtop] = None
                     actual_caller = eb[i]
-                    predicted = entry is not None and (
-                        actual_caller < 0
-                        or entry[2] == actual_caller
-                    )
-                    if not predicted:
+                    if not (
+                        entry is not None
+                        and (
+                            actual_caller < 0
+                            or entry[2] == actual_caller
+                        )
+                    ):
                         cycle += penalty
                         mispredict_cycles += penalty
-                    if not cgp_inline:
-                        if do_ret_hook:
-                            self.cycle = cycle
-                            self._rng_state = rng
-                            prefetcher.on_return(ea[i], entry, predicted,
-                                                 self)
-                            cycle = self.cycle
-                            rng = self._rng_state
-                            next_due = arrivals[0][0] if arrivals else _inf
                         continue
-                    if not predicted:
+                    if not cgp_inline:
                         continue
                     # ---- inlined CgpPrefetcher.on_return ----
                     # prefetch access keyed by the caller's start address
@@ -1780,14 +1264,15 @@ class FastFetchEngine(FetchEngine):
                             o_cghc[level][tag] += 1
                     # inlined CghcEntry.predicted_next, walked below
                     slot = f1_idx[cs1] - 1
-                    if slot < f1_len[cs1]:
-                        head = f1_seq[cs1 * cg_K + slot]
+                    seq = f1_seq[cs1]
+                    if slot < len(seq):
+                        head = seq[slot]
                         now2 = cycle + (latency + 1)
                     else:
                         head = -1
                     # update access keyed by the returner
                     ret_fid = ea[i]
-                    tag = entry_lines[ret_fid]
+                    tag = base[ret_fid]
                     cs1 = cg_set1[ret_fid]
                     if f1_tag[cs1] == tag:
                         cg_h1 += 1
@@ -1804,63 +1289,54 @@ class FastFetchEngine(FetchEngine):
                     continue
                 # ---- CGHC-triggered head prefetch (call or return) ----
                 # The walk runs after the caller/returner update above:
-                # that update writes only the CGHC arrays, so residency,
+                # that update writes only the CGHC lists, so residency,
                 # ``iflag``, the memory port and the arrival heap are
                 # exactly as they were when ``head``/``now2`` were
-                # captured.  Batched like the NL fan: no line access
-                # happens inside the window, so ``find`` jumps straight
-                # to the targets that issue, every skipped line squashes
-                # (head lines are always in range, the ``head_extents``
-                # clamp), and ascending order IS the reference's
-                # per-target FIFO-port issue order.  CGP inlining implies
-                # ``fast_life`` (its NL component is inlined too), so the
-                # records go to the flat lifecycle arrays.
+                # captured.  Walked like the NL fan: no line access
+                # happens inside the window, every resident or in-flight
+                # line squashes (head lines are always in range, the
+                # ``head_extents`` clamp), and ascending order IS the
+                # reference's per-target FIFO-port issue order.
                 if head < 0:
                     continue
                 if ps_cg is None:
                     ps_cg = stats.prefetch_origin(cg_origin)
+                start2 = base[head]
                 end2 = cg_head_end[head]
-                pl = base[head]
-                squash = end2 - pl
+                squash = end2 - start2
                 if obs:
-                    o_att[pl] += 1
+                    o_att[start2] += 1
                     o_att[end2] -= 1
-                pl = state.find(0, pl, end2)
-                while pl >= 0 and iflag[pl]:
-                    pl = state.find(0, pl + 1, end2)
-                while pl >= 0:
+                for pl in range(start2, end2):
+                    if state[pl] or iflag[pl]:
+                        continue
                     squash -= 1
-                    if inline_mem:
-                        start_t = now2 if now2 > port_free else port_free
-                        port_free = start_t + m_occ
-                        m_trans += 1
-                        i2 = (pl % l2_nsets) * l2_assoc
-                        t2 = i2 + l2_assoc - 1
-                        if l2ways[t2] == pl:
-                            w = t2
-                        else:
-                            w = t2 - 1
-                            while w >= i2:
-                                if l2ways[w] == pl:
-                                    while w < t2:
-                                        l2ways[w] = l2ways[w + 1]
-                                        w += 1
-                                    l2ways[t2] = pl
-                                    break
-                                w -= 1
-                            else:
-                                w = -1
-                        if w >= 0:
-                            m_l2h += 1
-                            completion = start_t + m_hit_lat
-                        else:
-                            m_l2m += 1
-                            l2_insert(pl)
-                            completion = start_t + m_hit_lat + m_mem_lat
+                    start_t = now2 if now2 > port_free else port_free
+                    port_free = start_t + m_occ
+                    m_trans += 1
+                    i2 = (pl % l2_nsets) * l2_assoc
+                    t2 = i2 + l2_assoc - 1
+                    if l2ways[t2] == pl:
+                        w = t2
                     else:
-                        completion, _mem = memsys_request(
-                            pl, now2, is_prefetch=True
-                        )
+                        w = t2 - 1
+                        while w >= i2:
+                            if l2ways[w] == pl:
+                                while w < t2:
+                                    l2ways[w] = l2ways[w + 1]
+                                    w += 1
+                                l2ways[t2] = pl
+                                break
+                            w -= 1
+                        else:
+                            w = -1
+                    if w >= 0:
+                        m_l2h += 1
+                        completion = start_t + m_hit_lat
+                    else:
+                        m_l2m += 1
+                        l2_insert(pl)
+                        completion = start_t + m_hit_lat + m_mem_lat
                     if_comp[pl] = completion
                     if_ps[pl] = ps_cg
                     iflag[pl] = 1
@@ -1872,31 +1348,25 @@ class FastFetchEngine(FetchEngine):
                         o_iss[pl] += 1
                         if lc:
                             lc_open[pl] = (cg_origin, now2, completion)
-                    pl = state.find(0, pl + 1, end2)
-                    while pl >= 0 and iflag[pl]:
-                        pl = state.find(0, pl + 1, end2)
                 ps_cg.squashed += squash
 
-            if fast_life:
-                # restore the canonical dict maps from the flat arrays
-                # (membership is the iflag byte / state bit 2; the
-                # stats rows map back to their origin keys) before
-                # anything outside the kernel — EngineState capture,
-                # ``_finalize``, the reference-path methods — can
-                # observe them
-                rev = {id(row): org for org, row in sprefetch.items()}
-                in_flight.clear()
-                fl = iflag.find(1)
-                while fl >= 0:
-                    in_flight[fl] = (if_comp[fl], rev[id(if_ps[fl])])
-                    fl = iflag.find(1, fl + 1)
-                untouched.clear()
-                fl = state.find(3)
-                while fl >= 0:
-                    untouched[fl] = rev[id(u_ps[fl])]
-                    fl = state.find(3, fl + 1)
-            if nl_inline:
-                nl._last_line = nl_last
+            # restore the canonical dict maps from the flat arrays
+            # (membership is the iflag byte / state bit 2; the stats
+            # rows map back to their origin keys) before anything
+            # outside the kernel — EngineState capture, ``_finalize`` —
+            # can observe them
+            rev = {id(row): org for org, row in sprefetch.items()}
+            in_flight.clear()
+            fl = iflag.find(1)
+            while fl >= 0:
+                in_flight[fl] = (if_comp[fl], rev[id(if_ps[fl])])
+                fl = iflag.find(1, fl + 1)
+            untouched.clear()
+            fl = state.find(3)
+            while fl >= 0:
+                untouched[fl] = rev[id(u_ps[fl])]
+                fl = state.find(3, fl + 1)
+            nl._last_line = nl_last
             if cgp_inline:
                 # restore the canonical dict representation (folding in
                 # the counter deltas) before anything outside the
@@ -1904,15 +1374,14 @@ class FastFetchEngine(FetchEngine):
                 cg_flat.l1_hits += cg_h1
                 cg_flat.write_back(cghc)
                 cghc._live_flat = None
-            if inline_mem:
-                memsys._port_free_at = port_free
-                memsys._demand_free_at = port_free
-                memsys.transactions += m_trans
-                memsys.l2_hits += m_l2h
-                memsys.l2_misses += m_l2m
-                mem_l2.hits += m_l2h
-                mem_l2.misses += m_l2m
 
+        memsys._port_free_at = port_free
+        memsys._demand_free_at = port_free
+        memsys.transactions += m_trans
+        memsys.l2_hits += m_l2h
+        memsys.l2_misses += m_l2m
+        mem_l2.hits += m_l2h
+        mem_l2.misses += m_l2m
         ras_obj._top = rtop
         ras_obj._count = rcount
         ras_obj.overflows += r_over

@@ -339,7 +339,10 @@ def simulate(trace, layout, config, prefetcher=None, seed=12345, engine=None,
     or ``"reference"`` (the original event loop the optimized core is
     verified against).  When None, the ``REPRO_SIM_ENGINE`` environment
     variable decides, falling back to ``"fast"``.  Both cores produce
-    byte-identical :class:`SimStats`.
+    byte-identical :class:`SimStats`.  A configuration the fast engine's
+    kernels do not inline (``FastFetchEngine.supports``: custom or
+    tagged prefetchers, software CGP, a set-associative CGHC, the
+    ``l2_demand_priority`` ablation) replays on the reference engine.
 
     ``collector`` (a :class:`repro.obsv.AttributionCollector`) opts into
     per-function/per-layer attribution, interval sampling, and prefetch
@@ -347,5 +350,8 @@ def simulate(trace, layout, config, prefetcher=None, seed=12345, engine=None,
     returned :class:`SimStats` are unchanged by collection.
     """
     cls = engine_class(engine)
+    if cls is not FetchEngine and not cls.supports(config, layout,
+                                                   prefetcher):
+        cls = FetchEngine
     return cls(config, layout, prefetcher=prefetcher, seed=seed,
                collector=collector).run(trace)

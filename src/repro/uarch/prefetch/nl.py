@@ -104,11 +104,6 @@ class TaggedNLPrefetcher(Prefetcher):
     paper evaluates plain NL.
     """
 
-    #: Optimized-engine contract: on_line_access is a no-op whenever
-    #: last_access_missed and last_access_first_touch are both False, so
-    #: the fast engine may skip the call on guaranteed hits.
-    hit_transparent = True
-
     def __init__(self, n_lines, origin="nl"):
         if n_lines <= 0:
             raise ConfigError("tagged NL degree must be positive")

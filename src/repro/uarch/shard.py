@@ -93,7 +93,6 @@ _ZERO_PREFETCH = dict.fromkeys(PREFETCH_FIELDS, 0)
 #: share one pickled instance with the prefetcher that references it.
 _STATE_ATTRS = (
     "cycle", "_rng_state", "_ctr",
-    "last_access_missed", "last_access_first_touch",
     "stats", "prefetcher", "l1i", "memsys", "ras",
     "_in_flight", "_arrivals", "_untouched",
     "_state", "_iflag", "_stamp",
@@ -120,8 +119,6 @@ def _clone_parts(get):
         "cycle": get("cycle"),
         "_rng_state": get("_rng_state"),
         "_ctr": get("_ctr"),
-        "last_access_missed": get("last_access_missed"),
-        "last_access_first_touch": get("last_access_first_touch"),
         "stats": SimStats.from_dict(get("stats").to_dict()),
         "prefetcher": (
             None if prefetcher is None else prefetcher.clone_state()
@@ -350,6 +347,8 @@ def replay_sharded(trace, layout, config, prefetcher=None, seed=12345,
 
     Bit-identical to ``simulate(..., engine="fast")`` (and therefore to
     the reference engine) for every counter, float, and prefetch origin.
+    Only configurations ``FastFetchEngine.supports`` accepts can be
+    sharded; any other raises ``SimulationError``.
 
     ``runner`` — an optional :class:`repro.harness.parallel.ParallelRunner`;
     when given, shard replays are distributed as ``run_tasks`` tasks

@@ -3,12 +3,13 @@
 ``FlatCghc`` is the state the optimized replay kernels actually mutate;
 ``CallGraphHistoryCache`` stays the semantic oracle.  These tests pin the
 flat probe/allocate/exchange sequence — and the per-entry operations the
-kernels inline — to the dict implementation op by op, with the two-level
-invariants (no tag resident in both levels, exchange preserves every
-entry field) checked after every step.  The hypothesis stream is biased
-collision-heavy: an optional mode multiplies every tag by the L1 set
-count so *all* accesses conflict in L1 and the exchange/writeback path
-runs continuously.
+kernels inline — to the dict implementation op by op, for finite
+geometries and for the unbounded CGHC (one flat set per tag), with the
+two-level invariants (no tag resident in both levels, exchange preserves
+every entry field) checked after every step.  The hypothesis stream is
+biased collision-heavy: an optional mode multiplies every tag by the L1
+set count so *all* accesses conflict in L1 and the exchange/writeback
+path runs continuously.
 
 ``REPRO_FUZZ_EXAMPLES`` bounds the example count, as in the engine fuzz
 suite (CI smoke sets a small value).
@@ -17,7 +18,7 @@ suite (CI smoke sets a small value).
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cghc import CallGraphHistoryCache, FlatCghc
@@ -36,9 +37,14 @@ MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "60"))
 FUZZ = settings(max_examples=MAX_EXAMPLES, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
+#: tags the op streams draw from; the unbounded image gets one set each
+N_TAGS = 24
+
 # (l1_entries, l2_entries, slots) — includes one-level (l2 == 0), the
 # one-set L2 (every victim aliases the hit entry's set), and small slot
-# caps so the index parks past the last slot early
+# caps so the index parks past the last slot early; ``INFINITE`` is the
+# unbounded CGHC
+INFINITE = ("infinite",)
 GEOMETRIES = [
     (1, 4, 2),
     (1, 1, 2),
@@ -46,10 +52,13 @@ GEOMETRIES = [
     (3, 5, 3),
     (4, 16, 8),
     (4, 0, 8),
+    INFINITE,
 ]
 
 
-def build(l1_entries, l2_entries, slots=8):
+def build(l1_entries, l2_entries=0, slots=8):
+    if (l1_entries,) == INFINITE:
+        return CallGraphHistoryCache(CghcConfig(infinite=True))
     return CallGraphHistoryCache(CghcConfig(
         l1_bytes=l1_entries * 40, l2_bytes=l2_entries * 40, slots=slots))
 
@@ -66,30 +75,38 @@ def level_image(level):
     return image
 
 
-def flat_level_image(flat, which):
-    tags, idxs, lens, seqs = (
-        (flat.l1_tag, flat.l1_idx, flat.l1_len, flat.l1_seq) if which == 1
-        else (flat.l2_tag, flat.l2_idx, flat.l2_len, flat.l2_seq))
-    stride = flat.slots
-    image = []
-    for s, tag in enumerate(tags):
-        if tag >= 0:
-            image.append(
-                (tag, idxs[s], tuple(seqs[s * stride:s * stride + lens[s]])))
-        else:
-            image.append(None)
+def store_image(cghc):
+    """Canonical per-set image of an unbounded dict cache: the entry
+    for tag ``t`` at set ``t``."""
+    image = [None] * N_TAGS
+    for tag, entry in cghc._store.items():
+        image[tag] = (tag, entry.index, tuple(entry.seq))
     return image
+
+
+def dict_image(cghc, which=1):
+    if cghc.infinite:
+        return store_image(cghc)
+    return level_image(cghc.l1 if which == 1 else cghc.l2)
+
+
+def flat_level_image(flat, which):
+    tags, idxs, seqs = (
+        (flat.l1_tag, flat.l1_idx, flat.l1_seq) if which == 1
+        else (flat.l2_tag, flat.l2_idx, flat.l2_seq))
+    return [(tag, idxs[s], tuple(seqs[s])) if tag >= 0 else None
+            for s, tag in enumerate(tags)]
 
 
 def check_invariants(flat, cghc):
     """Per-step invariants: residency parity with the oracle and no tag
     in both levels at once."""
     l1_tags = {tag for tag in flat.l1_tag if tag >= 0}
-    assert flat_level_image(flat, 1) == level_image(cghc.l1)
+    assert flat_level_image(flat, 1) == dict_image(cghc)
     if flat.n2:
         l2_tags = {tag for tag in flat.l2_tag if tag >= 0}
         assert not (l1_tags & l2_tags)
-        assert flat_level_image(flat, 2) == level_image(cghc.l2)
+        assert flat_level_image(flat, 2) == dict_image(cghc, 2)
     assert flat.entry_count() == cghc.entry_count()
 
 
@@ -111,15 +128,18 @@ def op_streams(draw):
     return ops
 
 
-def run_against_oracle(l1_entries, l2_entries, slots, ops, collide):
-    cghc = build(l1_entries, l2_entries, slots)
-    mirror = build(l1_entries, l2_entries, slots)
-    flat = FlatCghc.from_cache(mirror)
+def run_against_oracle(geometry, ops, collide):
+    cghc = build(*geometry)
+    mirror = build(*geometry)
+    flat = FlatCghc.from_cache(mirror, N_TAGS)
+    # parked as a kernel parks it: occupancy reads go to the live image
+    mirror._live_flat = flat
     n1 = flat.n1
     for kind, raw, aux in ops:
         # collide mode folds every tag onto L1 set 0: each access is an
-        # L1 conflict, so the stream is pure exchange/miss traffic
-        tag = raw * n1 if collide else raw
+        # L1 conflict, so the stream is pure exchange/miss traffic (the
+        # unbounded cache has one set per tag: nothing can collide)
+        tag = raw * n1 if collide and not cghc.infinite else raw
         l1_before, l2_before = cghc.l1_hits, cghc.l2_hits
         entry, ref_latency = cghc.ensure(tag)
         if cghc.l1_hits != l1_before:
@@ -141,22 +161,37 @@ def run_against_oracle(l1_entries, l2_entries, slots, ops, collide):
         elif kind == "first":
             assert flat.first_callee(s1) == entry.first_callee()
         check_invariants(flat, cghc)
-    # the arrays must write back to exactly the oracle's dict state, and
+        assert mirror.entry_count() == cghc.entry_count()
+    # the lists must write back to exactly the oracle's dict state, and
     # the counter deltas must fold in exactly once
+    mirror._live_flat = None
     flat.write_back(mirror)
-    assert level_image(mirror.l1) == level_image(cghc.l1)
+    assert dict_image(mirror) == dict_image(cghc)
     if mirror.l2 is not None:
         assert level_image(mirror.l2) == level_image(cghc.l2)
+    assert mirror.entry_count() == cghc.entry_count()
     assert (mirror.l1_hits, mirror.l2_hits, mirror.misses) == (
         cghc.l1_hits, cghc.l2_hits, cghc.misses)
     assert (flat.l1_hits, flat.l2_hits, flat.misses) == (0, 0, 0)
 
 
+#: a function's second invocation overwrites its history from slot 1
+#: and predicts from it — a step random op streams rarely line up on
+#: one tag
+HISTORY_OVERWRITE = [
+    ("record", 3, 7), ("record", 3, 8), ("record", 3, 9), ("reset", 3, 0),
+    ("predict", 3, 0), ("record", 3, 5), ("predict", 3, 0), ("first", 3, 0),
+    ("reset", 3, 0), ("predict", 3, 0),
+]
+
+
 @FUZZ
 @given(geometry=st.sampled_from(GEOMETRIES), ops=op_streams(),
        collide=st.booleans())
+@example(geometry=(3, 5, 3), ops=HISTORY_OVERWRITE, collide=False)
+@example(geometry=INFINITE, ops=HISTORY_OVERWRITE, collide=False)
 def test_flat_matches_dict_oracle(geometry, ops, collide):
-    run_against_oracle(*geometry, ops, collide)
+    run_against_oracle(geometry, ops, collide)
 
 
 # ----------------------------------------------------------------------
@@ -183,12 +218,11 @@ def test_exchange_preserves_entry_fields():
     assert level == 1
     assert flat.l1_tag[0] == 0
     assert flat.l1_idx[0] == 3
-    assert flat.l1_seq[0:flat.l1_len[0]] == [7, 8]
+    assert flat.l1_seq[0] == [7, 8]
     s2 = 1 % flat.n2
     assert flat.l2_tag[s2] == 1
     assert flat.l2_idx[s2] == 2
-    assert flat.l2_seq[s2 * flat.slots:s2 * flat.slots + flat.l2_len[s2]] \
-        == [9]
+    assert flat.l2_seq[s2] == [9]
     check_invariants(flat, cghc)
 
 
@@ -244,13 +278,31 @@ def test_round_trip_is_identity():
     assert after == before
 
 
+def test_boundaries_copy_sequences():
+    """Neither boundary aliases a callee sequence: kernel writes never
+    reach the entries a snapshot took, and the written-back entries
+    never change when the flat image does."""
+    for geometry in ((2, 8, 4), INFINITE):
+        cghc = build(*geometry)
+        cghc.ensure(1)[0].record_call(5, cghc.max_slots)
+        flat = FlatCghc.from_cache(cghc, N_TAGS)
+        flat.record_call(1 % flat.n1, 6)
+        assert cghc.ensure(1)[0].seq == [5]
+        flat.write_back(cghc)
+        flat.record_call(1 % flat.n1, 7)
+        assert cghc.ensure(1)[0].seq == [5, 6]
+
+
 def test_from_cache_rejects_unsupported_shapes():
-    with pytest.raises(ConfigError):
-        FlatCghc.from_cache(
-            CallGraphHistoryCache(CghcConfig(infinite=True)))
     with pytest.raises(ConfigError):
         FlatCghc.from_cache(CallGraphHistoryCache(
             CghcConfig(l1_bytes=4 * 40, l2_bytes=16 * 40, assoc=2)))
+    unbounded = build(*INFINITE)
+    with pytest.raises(ConfigError):
+        FlatCghc.from_cache(unbounded)  # no tag bound
+    unbounded.ensure(N_TAGS)
+    with pytest.raises(ConfigError):
+        FlatCghc.from_cache(unbounded, N_TAGS)  # a tag past the bound
 
 
 def test_live_flat_serves_mid_kernel_occupancy():

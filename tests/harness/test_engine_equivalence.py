@@ -6,7 +6,10 @@ traced database workloads — every suite with a checked-in golden —
 through both engines and requires identical ``SimStats.to_dict()``
 output, so any divergence the small synthetic traces cannot reach
 (deep RAS traffic, large CGHC working sets, OM layout permutations)
-fails here.
+fails here.  Every cell here runs on the fast engine
+(``FastFetchEngine.supports``); the configurations ``simulate()`` sends
+to the reference engine are pinned by
+``tests/uarch/test_engine_routing.py``.
 """
 
 import pytest
@@ -18,30 +21,34 @@ from repro.uarch import simulate
 SUITES = ["wisc-prof", "wisc-large-1", "wisc-large-2", "wisc+tpch",
           "recovery", "wisc-scale", "serving"]
 
-# layout x prefetcher cells: the golden cell (OM + CGP_4) for every
-# suite, plus the full fig4 bracket on the profiling workload
-GOLDEN_CELL = ("OM", ("cgp", 4))
+# layout x prefetcher x CGHC cells: the golden cell (OM + CGP_4) for
+# every suite, plus the fig4 bracket and the unbounded CGHC of fig5 on
+# the profiling workload
+CGHC = "CGHC-2K+32K"
+GOLDEN_CELL = ("OM", ("cgp", 4), CGHC)
 EXTRA_CELLS = [
-    ("O5", None),
-    ("O5", ("nl", 4)),
-    ("O5", ("t-nl", 4)),
-    ("O5", ("ra-nl", 4, 2)),
-    ("O5", ("cgp", 2)),
-    ("OM", None),
+    ("O5", None, CGHC),
+    ("O5", ("nl", 4), CGHC),
+    ("OM", ("cgp", 4), "CGHC-Inf"),
+    ("O5", ("ra-nl", 4, 2), CGHC),
+    ("O5", ("cgp", 2), CGHC),
+    ("OM", None, CGHC),
 ]
+EXTRA_IDS = [f"{l}-{p[0] if p else 'none'}" + ("-inf" if c != CGHC else "")
+             for l, p, c in EXTRA_CELLS]
 
 
-def run_both(runner, suite, layout_name, pspec):
+def run_both(runner, suite, layout_name, pspec, cghc):
     art = runner.artifacts(suite)
     layout = art.layout(layout_name)
     ref = simulate(
         art.trace, layout, runner.sim_config,
-        prefetcher=_make_prefetcher(pspec, layout, "CGHC-2K+32K"),
+        prefetcher=_make_prefetcher(pspec, layout, cghc),
         engine="reference",
     )
     fast = simulate(
         art.trace, layout, runner.sim_config,
-        prefetcher=_make_prefetcher(pspec, layout, "CGHC-2K+32K"),
+        prefetcher=_make_prefetcher(pspec, layout, cghc),
         engine="fast",
     )
     return ref, fast
@@ -53,30 +60,28 @@ def test_golden_cell_identical_across_engines(small_runner, suite):
     assert ref.to_dict() == fast.to_dict()
 
 
-@pytest.mark.parametrize(
-    "layout_name,pspec", EXTRA_CELLS,
-    ids=[f"{l}-{p[0] if p else 'none'}" for l, p in EXTRA_CELLS])
+@pytest.mark.parametrize("layout_name,pspec,cghc", EXTRA_CELLS,
+                         ids=EXTRA_IDS)
 def test_fig4_cells_identical_across_engines(small_runner, layout_name,
-                                             pspec):
-    ref, fast = run_both(small_runner, "wisc-prof", layout_name, pspec)
+                                             pspec, cghc):
+    ref, fast = run_both(small_runner, "wisc-prof", layout_name, pspec,
+                         cghc)
     assert ref.to_dict() == fast.to_dict()
 
 
-# every suite's golden cell, plus the fig4 bracket on the profiling
-# workload: the no-hook kernel (no prefetcher), the hook path (tagged
-# NL), run-ahead NL and a second CGP degree
+# every suite's golden cell, plus the extra cells on the profiling
+# workload: the no-prefetcher kernel, NL, the unbounded CGHC, run-ahead
+# NL and a second CGP degree
 ATTRIBUTION_CELLS = (
     [pytest.param(suite, *GOLDEN_CELL, id=suite) for suite in SUITES]
-    + [pytest.param("wisc-prof", layout_name, pspec,
-                    id=f"wisc-prof-{layout_name}-"
-                       f"{pspec[0] if pspec else 'none'}")
-       for layout_name, pspec in EXTRA_CELLS]
+    + [pytest.param("wisc-prof", *cell, id=f"wisc-prof-{cell_id}")
+       for cell, cell_id in zip(EXTRA_CELLS, EXTRA_IDS)]
 )
 
 
-@pytest.mark.parametrize("suite,layout_name,pspec", ATTRIBUTION_CELLS)
+@pytest.mark.parametrize("suite,layout_name,pspec,cghc", ATTRIBUTION_CELLS)
 def test_golden_cell_attribution_identical_across_engines(
-        small_runner, suite, layout_name, pspec):
+        small_runner, suite, layout_name, pspec, cghc):
     """Collection enabled on the real workloads: identical ``SimStats``
     to the uninstrumented run, identical attribution payloads (layer
     tables, lateness histograms, interval samples, lifecycle traces)
@@ -85,7 +90,7 @@ def test_golden_cell_attribution_identical_across_engines(
     layout = art.layout(layout_name)
     plain = simulate(
         art.trace, layout, small_runner.sim_config,
-        prefetcher=_make_prefetcher(pspec, layout, "CGHC-2K+32K"),
+        prefetcher=_make_prefetcher(pspec, layout, cghc),
         engine="fast",
     )
     payloads = {}
@@ -96,7 +101,7 @@ def test_golden_cell_attribution_identical_across_engines(
         )
         stats = simulate(
             art.trace, layout, small_runner.sim_config,
-            prefetcher=_make_prefetcher(pspec, layout, "CGHC-2K+32K"),
+            prefetcher=_make_prefetcher(pspec, layout, cghc),
             engine=engine, collector=collector,
         )
         assert stats.to_dict() == plain.to_dict()
@@ -130,7 +135,7 @@ def test_goldens_are_engine_agnostic(small_runner):
     from tests.harness.test_goldens import GOLDEN_SPEC, golden_path
 
     suite = "wisc-prof"
-    ref, fast = run_both(small_runner, suite, *GOLDEN_SPEC)
+    ref, fast = run_both(small_runner, suite, *GOLDEN_SPEC, CGHC)
     with open(golden_path(suite)) as fh:
         golden = json.load(fh)
     assert fast.summary() == golden

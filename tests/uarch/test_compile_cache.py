@@ -20,8 +20,7 @@ from repro.uarch.fast_engine import (
 )
 
 SHARED = ("ops", "ea", "eb")
-PER_LAYOUT = ("n_scaled", "seg_start", "seg_end", "lines", "contig",
-              "callsite")
+PER_LAYOUT = ("n_scaled", "seg_start", "seg_end", "lines", "callsite")
 
 
 def trace_and_layouts():

@@ -1,16 +1,18 @@
 """Cross-engine equivalence: the optimized replay core must be
 *bit-identical* to the reference engine, not approximately equal.
 
-``FastFetchEngine`` batches guaranteed hits, inlines the sequential
-prefetcher, the CGP/CGHC accesses, the RAS, and the memory system, and
-replaces the L1 recency lists with timestamps — every one of those
-shortcuts is only sound if ``SimStats.to_dict()`` (floats included)
-comes out equal to the reference engine's on the same trace.  These
-tests drive both engines over randomized traces crossed with every
-prefetcher family (inlined and hook-driven), permuted and identity
-layouts, perfect-icache and demand-priority configurations, and
-same-line repeat patterns (the inlined sequential prefetcher's
-``line == nl_last`` no-op).
+``FastFetchEngine`` inlines the sequential prefetcher, the CGP/CGHC
+accesses, the RAS, and the memory system, walks prefetch windows as
+spans, and replaces the L1 recency lists with timestamps — every one of
+those shortcuts is only sound if ``SimStats.to_dict()`` (floats
+included) comes out equal to the reference engine's on the same trace.
+These tests drive both engines over randomized traces crossed with every
+prefetcher the fast engine runs (NL, run-ahead NL, and CGP over finite,
+collision-heavy and unbounded CGHCs), permuted and identity layouts,
+the perfect I-cache, and same-line repeat patterns (the inlined
+sequential prefetcher's ``line == nl_last`` no-op).  Configurations
+``simulate()`` routes to the reference engine instead are pinned by
+``tests/uarch/test_engine_routing.py``.
 """
 
 from dataclasses import replace
@@ -26,11 +28,7 @@ from repro.obsv import AttributionCollector, validate_payload
 from repro.uarch.config import CacheConfig, CghcConfig, SimConfig
 from repro.uarch.fast_engine import FastFetchEngine
 from repro.uarch.fetch_engine import simulate
-from repro.uarch.prefetch.nl import (
-    NextNLinePrefetcher,
-    RunAheadNLPrefetcher,
-    TaggedNLPrefetcher,
-)
+from repro.uarch.prefetch.nl import NextNLinePrefetcher, RunAheadNLPrefetcher
 
 N_FUNCTIONS = 6
 FUNC_SIZE = 120
@@ -41,15 +39,13 @@ SMALL_CONFIG = SimConfig(
     base_cpi=0.3,
 )
 
-PREFETCHERS = [None, "nl", "t-nl", "ra-nl", "cgp", "cgp-xchg", "cgp-inf"]
+PREFETCHERS = [None, "nl", "ra-nl", "cgp", "cgp-xchg", "cgp-inf"]
 LAYOUTS = ["identity", "scrambled"]
-#: every kernel shape: the inlined memory system, the perfect I-cache
-#: (no line accesses at all), and the demand-priority ablation (the
-#: memory system called, not inlined)
+#: both kernel shapes a prefetcher can reach: line accesses, and the
+#: perfect I-cache (no line accesses, no hooks)
 CONFIGS = [
     SMALL_CONFIG,
     replace(SMALL_CONFIG, perfect_icache=True),
-    replace(SMALL_CONFIG, l2_demand_priority=True),
 ]
 
 
@@ -77,13 +73,10 @@ def make_prefetcher(name, layout, degree):
         return None
     if name == "nl":
         return NextNLinePrefetcher(degree)
-    if name == "t-nl":
-        return TaggedNLPrefetcher(degree)
     if name == "ra-nl":
         return RunAheadNLPrefetcher(degree, 3)
     if name == "cgp-inf":
-        # an unbounded CGHC is not inlined: the CGP hooks run through
-        # the engine's issue_prefetch/prefetch_function_head
+        # the unbounded CGHC: one flat set per line, no slot cap
         return CgpPrefetcher(degree, CghcConfig(infinite=True), layout)
     if name == "cgp-xchg":
         # collision-heavy geometry: a one-entry L1 over a four-entry L2
@@ -100,7 +93,7 @@ def make_prefetcher(name, layout, degree):
 @st.composite
 def traces(draw):
     """Well-formed traces biased toward the fast paths' edge cases:
-    sequential runs (batching), same-line repeats (the inlined NL
+    sequential runs (NL leading edges), same-line repeats (the inlined NL
     automaton's no-op), offsets at the last function's tail
     (out-of-range prefetches)."""
     trace = Trace()
@@ -111,7 +104,7 @@ def traces(draw):
         if action in ("exec", "run", "repeat"):
             fid = stack[-1] if stack else draw(
                 st.integers(0, N_FUNCTIONS - 1))
-            if action == "run":  # long ascending run: batch candidate
+            if action == "run":  # long ascending run: leading edges
                 lo = draw(st.integers(0, FUNC_SIZE - 2))
                 hi = draw(st.integers(lo, FUNC_SIZE - 1))
                 trace.add_exec(fid, lo, hi)
@@ -152,8 +145,8 @@ def call_chain(rounds=1, chunk=FUNC_SIZE):
 
 
 #: a trace that reaches every observation site of the fast kernels
-#: under the explicit examples below: batched first touches and
-#: evictions of untouched lines on the contiguous identity layout, CGHC
+#: under the explicit examples below: first touches and evictions of
+#: untouched lines on the contiguous identity layout, CGHC
 #: history and head walks on the scrambled one (on the identity layout
 #: every entry line is a multiple of 16, so the small CGHC's sets
 #: collide and forget every history)
@@ -193,18 +186,6 @@ def test_engines_identical_under_perfect_icache(trace, pf):
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(trace=traces(), pf=st.sampled_from(PREFETCHERS))
-def test_engines_identical_under_demand_priority(trace, pf):
-    """The ablation flag disables the fast engine's inlined memory
-    system; the fallback must stay equivalent too."""
-    layout = build_layout("scrambled")
-    config = replace(SMALL_CONFIG, l2_demand_priority=True)
-    ref, fast = both_engines(trace, layout, config, pf, 3)
-    assert ref == fast
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
 @given(trace=traces(), degree=st.integers(1, 4))
 def test_fast_engine_rerun_is_deterministic(trace, degree):
     """The compile cache must not leak state between runs: a hot rerun
@@ -228,12 +209,8 @@ def test_fast_engine_rerun_is_deterministic(trace, degree):
          config=CONFIGS[0])
 @example(trace=CHAIN, pf="nl", degree=4, layout_kind="identity",
          config=CONFIGS[0])
-@example(trace=CHAIN, pf="t-nl", degree=4, layout_kind="identity",
-         config=CONFIGS[0])
 @example(trace=CHAIN, pf="cgp", degree=4, layout_kind="scrambled",
          config=CONFIGS[0])
-@example(trace=CHAIN, pf="cgp", degree=4, layout_kind="scrambled",
-         config=CONFIGS[2])
 @example(trace=CHAIN, pf="cgp-inf", degree=4, layout_kind="scrambled",
          config=CONFIGS[0])
 def test_attribution_identical_across_engines(trace, pf, degree,
