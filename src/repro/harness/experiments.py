@@ -20,11 +20,9 @@ import functools
 from dataclasses import dataclass, field, replace
 
 from repro.harness.grid import RunSpec
+from repro.harness.runner import ExperimentRunner, _make_prefetcher
 from repro.layout import om_layout, profile_of
 from repro.uarch import TABLE_1, simulate
-from repro.core import CgpPrefetcher
-from repro.uarch.config import cghc_variant
-from repro.uarch.prefetch import NextNLinePrefetcher
 from repro.workloads import cpu2000
 from repro.workloads.suites import SUITE_NAMES
 
@@ -343,13 +341,7 @@ def _fig10_cell(benchmark, target_instructions, sim_config):
         config = (
             replace(sim_config, perfect_icache=True) if perfect else sim_config
         )
-        prefetcher = None
-        if spec is not None and spec[0] == "nl":
-            prefetcher = NextNLinePrefetcher(spec[1])
-        elif spec is not None and spec[0] == "cgp":
-            prefetcher = CgpPrefetcher(
-                spec[1], cghc_variant("CGHC-2K+32K"), layout
-            )
+        prefetcher = _make_prefetcher(spec, layout, "CGHC-2K+32K")
         stats = simulate(trace, layout, config, prefetcher=prefetcher)
         values[name] = stats.cycles
         if name == "O5+OM":
@@ -380,8 +372,6 @@ def fig10(benchmarks=cpu2000.BENCHMARK_NAMES, target_instructions=2_000_000,
         for benchmark in benchmarks
     ]
     if engine is None:
-        from repro.harness.runner import ExperimentRunner
-
         engine = ExperimentRunner(sim_config=sim_config)
     grid = engine.run_tasks(tasks, grid="fig10")
     for benchmark in benchmarks:
@@ -501,25 +491,15 @@ def scale_sensitivity(runner_small, runner_large, workload="wisc-large-2"):
 
 
 # ----------------------------------------------------------------------
-# Extension: the traced crash-recovery workload
+# Extensions: CGP vs NL on workloads beyond the paper's
 # ----------------------------------------------------------------------
 
 
-def recovery_experiment(runner, workload="recovery"):
-    """CGP vs next-N-line on restart recovery (extension, not a figure).
-
-    The ``recovery`` workload traces the storage manager's restart path
-    over a deterministically crashed volume (see
-    :mod:`repro.workloads.recovery`): ARIES-lite redo/undo, torn-tail
-    truncation, B+-tree rebuild, verification scan.  That call graph is
-    deep, data-dependent, and cold — the shape §3 argues favors
-    call-graph prediction over straight-line prefetching.
-    """
+def _cgp_vs_nl(runner, workload, exp_id, title, claim):
+    """O5, OM+NL_4 and OM+CGP_4 on one extension workload, with CGP's
+    speedup over NL and both prefetchers' I-cache MPKI."""
     result = ExperimentResult(
-        "recovery",
-        "CGP on the crash-recovery path (extension)",
-        "Recovery's deep cold call graph should favor CGP over "
-        "next-N-line even more than steady-state query execution does.",
+        exp_id, title, claim,
         ["O5", "OM+NL_4", "OM+CGP_4", "speedup:CGP4_over_NL4",
          "mpki:NL_4", "mpki:CGP_4"],
     )
@@ -528,10 +508,8 @@ def recovery_experiment(runner, workload="recovery"):
         RunSpec(workload, "OM", ("nl", 4)),
         RunSpec(workload, "OM", ("cgp", 4)),
     ]
-    grid = runner.run_grid(specs, grid="recovery")
-    base = grid.get(specs[0])
-    nl = grid.get(specs[1])
-    cgp = grid.get(specs[2])
+    grid = runner.run_grid(specs, grid=exp_id)
+    base, nl, cgp = (grid.get(spec) for spec in specs)
     values = {}
     if base is not None:
         values["O5"] = base.cycles
@@ -548,9 +526,22 @@ def recovery_experiment(runner, workload="recovery"):
     return result
 
 
-# ----------------------------------------------------------------------
-# Extension: CGP vs NL on the storage scale-out workload
-# ----------------------------------------------------------------------
+def recovery_experiment(runner, workload="recovery"):
+    """CGP vs next-N-line on restart recovery (extension, not a figure).
+
+    The ``recovery`` workload traces the storage manager's restart path
+    over a deterministically crashed volume (see
+    :mod:`repro.workloads.recovery`): ARIES-lite redo/undo, torn-tail
+    truncation, B+-tree rebuild, verification scan.  That call graph is
+    deep, data-dependent, and cold — the shape §3 argues favors
+    call-graph prediction over straight-line prefetching.
+    """
+    return _cgp_vs_nl(
+        runner, workload, "recovery",
+        "CGP on the crash-recovery path (extension)",
+        "Recovery's deep cold call graph should favor CGP over "
+        "next-N-line even more than steady-state query execution does.",
+    )
 
 
 def storage_scale_experiment(runner, workload="wisc-scale"):
@@ -566,43 +557,13 @@ def storage_scale_experiment(runner, workload="wisc-scale"):
     §3 argues favors call-graph prediction, measured here at a scale
     where the heap no longer fits the pool.
     """
-    result = ExperimentResult(
-        "storage-scale",
+    return _cgp_vs_nl(
+        runner, workload, "storage-scale",
         "CGP on the scaled-out storage engine (extension)",
         "Selective index probes on a 100x database keep CGP's advantage "
         "over next-N-line: the descent call chain is predictable from "
         "the call graph but not from straight-line order.",
-        ["O5", "OM+NL_4", "OM+CGP_4", "speedup:CGP4_over_NL4",
-         "mpki:NL_4", "mpki:CGP_4"],
     )
-    specs = [
-        RunSpec(workload, "O5", None),
-        RunSpec(workload, "OM", ("nl", 4)),
-        RunSpec(workload, "OM", ("cgp", 4)),
-    ]
-    grid = runner.run_grid(specs, grid="storage-scale")
-    base = grid.get(specs[0])
-    nl = grid.get(specs[1])
-    cgp = grid.get(specs[2])
-    values = {}
-    if base is not None:
-        values["O5"] = base.cycles
-    if nl is not None:
-        values["OM+NL_4"] = nl.cycles
-        values["mpki:NL_4"] = nl.mpki
-    if cgp is not None:
-        values["OM+CGP_4"] = cgp.cycles
-        values["mpki:CGP_4"] = cgp.mpki
-    if nl is not None and cgp is not None:
-        values["speedup:CGP4_over_NL4"] = nl.cycles / cgp.cycles
-    result.add_row(workload, values)
-    result.failures = grid.failure_report()
-    return result
-
-
-# ----------------------------------------------------------------------
-# Extension: CGP vs NL on the multi-tenant serving front end
-# ----------------------------------------------------------------------
 
 
 def serving_experiment(runner, workload="serving"):
@@ -618,36 +579,11 @@ def serving_experiment(runner, workload="serving"):
     locality, with admission control, the prepared-statement cache,
     and conflict-retry paths layered on top of query execution.
     """
-    result = ExperimentResult(
-        "serving",
+    return _cgp_vs_nl(
+        runner, workload, "serving",
         "CGP on the multi-tenant serving path (extension)",
         "Quantum-interleaved client streams through the server front "
         "end are the paper's motivating workload shape; CGP should "
         "keep its advantage over next-N-line with the dispatch and "
         "session layers in the loop.",
-        ["O5", "OM+NL_4", "OM+CGP_4", "speedup:CGP4_over_NL4",
-         "mpki:NL_4", "mpki:CGP_4"],
     )
-    specs = [
-        RunSpec(workload, "O5", None),
-        RunSpec(workload, "OM", ("nl", 4)),
-        RunSpec(workload, "OM", ("cgp", 4)),
-    ]
-    grid = runner.run_grid(specs, grid="serving")
-    base = grid.get(specs[0])
-    nl = grid.get(specs[1])
-    cgp = grid.get(specs[2])
-    values = {}
-    if base is not None:
-        values["O5"] = base.cycles
-    if nl is not None:
-        values["OM+NL_4"] = nl.cycles
-        values["mpki:NL_4"] = nl.mpki
-    if cgp is not None:
-        values["OM+CGP_4"] = cgp.cycles
-        values["mpki:CGP_4"] = cgp.mpki
-    if nl is not None and cgp is not None:
-        values["speedup:CGP4_over_NL4"] = nl.cycles / cgp.cycles
-    result.add_row(workload, values)
-    result.failures = grid.failure_report()
-    return result

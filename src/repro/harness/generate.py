@@ -100,10 +100,10 @@ _REPLAY_CORE = """
 
 Every cell above is replayed by the optimized engine
 (`repro.uarch.fast_engine.FastFetchEngine`, the default behind
-`simulate()`): traces are compiled once per layout into flat
-line-address arrays using the layout's precomputed translation table,
-guaranteed-hit runs are batched, and the sequential-prefetch, CGP/CGHC,
-RAS, and memory-system hot paths are inlined.  The engine is
+`simulate()` for every configuration its kernels inline): traces are
+compiled once per layout into flat line-address arrays using the
+layout's precomputed translation table, and the sequential-prefetch,
+CGP/CGHC, RAS, and memory-system hot paths are inlined.  The engine is
 **bit-identical** to the straightforward reference implementation
 (`FetchEngine`) — enforced by `tests/uarch/test_engine_equivalence.py`
 (randomized traces x every prefetcher family x permuted layouts) and

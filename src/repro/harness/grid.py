@@ -1,4 +1,4 @@
-"""Grid primitives shared by the serial and parallel experiment engines.
+"""Grid primitives of the experiment engine (``ExperimentRunner.run_grid``).
 
 A figure is a **grid** of simulation cells.  Each cell is a
 :class:`RunSpec` — the complete value-typed description of one

@@ -1,17 +1,20 @@
 """Parallel experiment engine: process fan-out over simulation grids.
 
-:class:`ParallelRunner` extends :class:`ExperimentRunner` with a
-``concurrent.futures.ProcessPoolExecutor`` back end.  A figure's grid of
-:class:`~repro.harness.grid.RunSpec` cells is deduplicated, resolved
-against the durable result cache in the coordinating process, and the
-remaining cells are fanned out over worker processes.  Each worker keeps
-a per-process :class:`ExperimentRunner` so workload artifacts are built
-(or loaded from the shared artifact cache) once per process, not once
-per cell.
+:class:`ParallelRunner` is an :class:`ExperimentRunner` whose
+``max_workers``, ``timeout`` and ``fault_hook`` come from its
+constructor.  The grid engine itself — ``run_grid``/``run_tasks`` and
+their one submission loop — is :class:`ExperimentRunner`'s: a figure's
+grid of :class:`~repro.harness.grid.RunSpec` cells is deduplicated and
+resolved against the result caches in the coordinating process, and the
+remaining cells are computed on the runner itself (``max_workers=1``)
+or fanned out by :func:`run_pooled` over worker processes.  Each worker
+keeps a per-process :class:`ExperimentRunner` so workload artifacts are
+built (or loaded from the shared artifact cache) once per process, not
+once per cell.
 
 Robustness:
 
-* **per-run timeout** — enforced inside the worker with ``SIGALRM``
+* **per-run timeout** — enforced around each item with ``SIGALRM``
   (``setitimer``), so a runaway simulation yields a reported
   ``timeout`` cell, never a hung grid;
 * **worker crash** — a cell whose worker process dies (pool breakage)
@@ -20,33 +23,15 @@ Robustness:
   :class:`~repro.harness.grid.CellFailure` on the returned
   :class:`~repro.harness.grid.GridResult`; the surviving cells are
   always usable.
-
-``max_workers=1`` is the serial degenerate case: cells run in-process,
-through the very same execution path the workers use (including the
-timeout and fault hooks), which is what the serial/parallel equivalence
-suite pins down.
 """
 
 from __future__ import annotations
 
 import os
-import signal
-import time
-import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.errors import CacheCorruptionError, RunTimeoutError
-from repro.harness.grid import (
-    FAIL_CACHE,
-    FAIL_CRASH,
-    FAIL_ERROR,
-    FAIL_TIMEOUT,
-    CellFailure,
-    GridResult,
-)
-from repro.harness.runner import ExperimentRunner
-from repro.uarch.stats import SimStats
+from repro.harness.runner import ExperimentRunner, _execute
 
 #: attempts per cell = 1 + _CRASH_RETRIES (crashes only; plain errors
 #: and timeouts are deterministic and not retried).
@@ -61,103 +46,22 @@ _CRASH_RETRIES = 1
 _WORKER_RUNNERS = {}
 
 
-def _worker_runner(pipeline, sim_config, scales, cache_dir):
+def compute_in_worker(runner_args, spec):
+    """A pooled cell's job: compute ``spec`` on this worker process's
+    runner for ``runner_args`` = (pipeline, sim_config, scales,
+    cache_dir)."""
+    pipeline, sim_config, scales, cache_dir = runner_args
     key = (pipeline, sim_config, tuple(sorted(scales.items())), cache_dir)
     runner = _WORKER_RUNNERS.get(key)
     if runner is None:
-        runner = ExperimentRunner(
+        runner = _WORKER_RUNNERS[key] = ExperimentRunner(
             pipeline=pipeline, sim_config=sim_config, scales=scales,
             cache_dir=cache_dir,
             # workers return stats to the coordinator, which owns the
             # durable cache writes — keep a single writer.
             results_dir=None,
         )
-        _WORKER_RUNNERS[key] = runner
-    return runner
-
-
-def _raise_timeout(signum, frame):
-    raise RunTimeoutError("per-run timeout expired")
-
-
-class _deadline:
-    """SIGALRM-based timeout; a no-op when unsupported or disabled."""
-
-    def __init__(self, seconds):
-        self.seconds = seconds
-        self.armed = False
-
-    def __enter__(self):
-        if self.seconds and hasattr(signal, "SIGALRM"):
-            self._previous = signal.signal(signal.SIGALRM, _raise_timeout)
-            signal.setitimer(signal.ITIMER_REAL, self.seconds)
-            self.armed = True
-        return self
-
-    def __exit__(self, *exc_info):
-        if self.armed:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, self._previous)
-        return False
-
-
-def _execute_cell(payload):
-    """Run one RunSpec in a worker (or in-process for max_workers=1).
-
-    Always returns a result dict — failures travel as data, not as
-    exceptions, so the pool never breaks on a mere simulation error.
-    """
-    spec = payload["spec"]
-    started = time.perf_counter()
-    base = {"key": payload["key"], "worker": os.getpid()}
-    try:
-        with _deadline(payload["timeout"]):
-            fault_hook = payload["fault_hook"]
-            if fault_hook is not None:
-                fault_hook(spec)
-            runner = _worker_runner(
-                payload["pipeline"], payload["sim_config"],
-                payload["scales"], payload["cache_dir"],
-            )
-            stats = runner.compute_spec(spec)
-    except RunTimeoutError as exc:
-        base.update(status="timeout", error=str(exc),
-                    wall_s=round(time.perf_counter() - started, 4))
-        return base
-    except Exception as exc:
-        base.update(status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback.format_exc(limit=8),
-                    wall_s=round(time.perf_counter() - started, 4))
-        return base
-    base.update(status="ok", stats=stats.to_dict(),
-                wall_s=round(time.perf_counter() - started, 4))
-    return base
-
-
-def _execute_task(payload):
-    """Run one opaque (label, callable) task in a worker."""
-    started = time.perf_counter()
-    base = {"key": payload["key"], "worker": os.getpid()}
-    try:
-        with _deadline(payload["timeout"]):
-            fault_hook = payload["fault_hook"]
-            if fault_hook is not None:
-                fault_hook(payload["key"])
-            value = payload["fn"]()
-    except RunTimeoutError as exc:
-        base.update(status="timeout", error=str(exc),
-                    wall_s=round(time.perf_counter() - started, 4))
-        return base
-    except Exception as exc:
-        base.update(status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback.format_exc(limit=8),
-                    wall_s=round(time.perf_counter() - started, 4))
-        return base
-    base.update(status="ok", value=value,
-                wall_s=round(time.perf_counter() - started, 4))
-    return base
+    return runner.compute_spec(spec)
 
 
 # ----------------------------------------------------------------------
@@ -165,20 +69,82 @@ def _execute_task(payload):
 # ----------------------------------------------------------------------
 
 
+def run_pooled(jobs, max_workers, timeout, fault_hook, on_done):
+    """Run ``(name, job)`` pairs through :func:`~repro.harness.runner.
+    _execute` on a process pool, calling ``on_done(name, outcome,
+    attempt)`` exactly once per pair.  Jobs whose worker died are
+    retried, each in a single-worker pool of its own."""
+    attempts = [0] * len(jobs)
+    queue = list(range(len(jobs)))
+    isolate = False  # after any crash, quarantine cells one per pool
+    while queue:
+        for i in queue:
+            attempts[i] += 1
+        # one single-worker pool per suspect cell: a poisoned cell that
+        # kills its process cannot take innocent cells (or the whole
+        # grid) down with it.
+        batches = [[i] for i in queue] if isolate else [queue]
+        crashed = []
+        for batch in batches:
+            crashed.extend(_run_batch(batch, jobs, max_workers, timeout,
+                                      fault_hook, on_done, attempts))
+        queue = []
+        for i in crashed:
+            if attempts[i] > _CRASH_RETRIES:
+                on_done(jobs[i][0],
+                        {"status": "crash",
+                         "error": f"worker process died ({attempts[i]} "
+                                  "attempts)",
+                         "wall_s": 0.0},
+                        attempts[i])
+            else:
+                queue.append(i)
+        isolate = True
+
+
+def _run_batch(batch, jobs, max_workers, timeout, fault_hook, on_done,
+               attempts):
+    """Run one batch in one pool; returns the jobs that crashed (pool
+    breakage makes every unfinished future suspect)."""
+    executor = ProcessPoolExecutor(max_workers=min(max_workers, len(batch)))
+    futures = {}
+    crashed = []
+    try:
+        for i in batch:
+            name, job = jobs[i]
+            future = executor.submit(_execute, name, job, timeout, fault_hook)
+            futures[future] = i
+        not_done = set(futures)
+        while not_done:
+            finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+            for future in finished:
+                i = futures[future]
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    crashed.append(i)
+                else:
+                    on_done(jobs[i][0], outcome, attempts[i])
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+    return crashed
+
+
 class ParallelRunner(ExperimentRunner):
-    """ExperimentRunner with a process-pool grid engine.
+    """ExperimentRunner whose grids fan out over a process pool.
 
     Parameters beyond :class:`ExperimentRunner`'s:
 
     ``max_workers``
-        Process fan-out.  ``1`` runs cells in-process (serial degenerate
-        case) through the identical execution path.
+        Process fan-out (default: the CPU count).  ``1`` computes every
+        cell in-process, on this runner.
     ``timeout``
         Per-run wall-clock budget in seconds (None = unlimited),
-        enforced inside the worker.
+        enforced around each cell or task.
     ``fault_hook``
-        Picklable callable invoked with each spec before it runs, in the
-        worker.  Exists for fault-injection tests and chaos drills.
+        Picklable callable invoked with each spec (or task label) before
+        it runs, where it runs.  Exists for fault-injection tests and
+        chaos drills.
     """
 
     def __init__(self, *args, max_workers=None, timeout=None,
@@ -188,222 +154,6 @@ class ParallelRunner(ExperimentRunner):
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        self._max_workers = max_workers
+        self.max_workers = max_workers
         self.timeout = timeout
         self.fault_hook = fault_hook
-
-    @property
-    def max_workers(self):
-        return self._max_workers
-
-    # -- payload construction ------------------------------------------
-    def _cell_payload(self, spec, key):
-        return {
-            "spec": spec,
-            "key": key,
-            "pipeline": self.pipeline,
-            "sim_config": self.sim_config,
-            "scales": self.scales,
-            "cache_dir": self._cache_dir,
-            "timeout": self.timeout,
-            "fault_hook": self.fault_hook,
-        }
-
-    def _task_payload(self, label, fn):
-        return {
-            "key": label,
-            "fn": fn,
-            "timeout": self.timeout,
-            "fault_hook": self.fault_hook,
-        }
-
-    # -- the engine ----------------------------------------------------
-    def run_grid(self, specs, grid="grid"):
-        specs = list(dict.fromkeys(specs))
-        result = GridResult()
-        started = time.perf_counter()
-        total = len(specs)
-        self._emit("grid-start", grid=grid, cells=total,
-                   max_workers=self.max_workers)
-        done = 0
-        cached_cells = 0
-        pending = []  # (spec, fingerprint) still to compute
-        for spec in specs:
-            key = self.fingerprint(spec)
-            try:
-                stats = self.lookup_cached(spec, fingerprint=key)
-            except CacheCorruptionError as exc:
-                done += 1
-                result.failures.append(CellFailure(spec, FAIL_CACHE, str(exc)))
-                self._emit_cell(grid, spec, key, done, total,
-                                {"status": "error", "error": str(exc),
-                                 "wall_s": 0.0, "worker": os.getpid()},
-                                cache="corrupt", attempt=1)
-                continue
-            if stats is not None:
-                done += 1
-                cached_cells += 1
-                result.set(spec, stats)
-                self._emit_cell(grid, spec, key, done, total,
-                                {"status": "ok", "wall_s": 0.0,
-                                 "worker": os.getpid(),
-                                 "summary": stats.summary()},
-                                cache="hit", attempt=1)
-                continue
-            pending.append((spec, key))
-
-        if pending and self._cache_dir:
-            # stage-1 artifacts are built once here (and persisted) so
-            # workers only pay a pickle load, not a full trace rebuild.
-            for suite in dict.fromkeys(spec.suite for spec, _k in pending):
-                self.artifacts(suite)
-
-        def on_cell(item, outcome, attempt):
-            nonlocal done
-            spec, key = item
-            done += 1
-            status = outcome["status"]
-            if status == "ok":
-                stats = SimStats.from_dict(outcome["stats"])
-                self._results[key] = stats
-                if self.result_cache is not None:
-                    self.result_cache.put(key, stats)
-                result.set(spec, stats)
-                outcome = dict(outcome, summary=stats.summary())
-                outcome.pop("stats")
-            elif status == "timeout":
-                result.failures.append(
-                    CellFailure(spec, FAIL_TIMEOUT, outcome["error"], attempt))
-            elif status == "crash":
-                result.failures.append(
-                    CellFailure(spec, FAIL_CRASH, outcome["error"], attempt))
-            else:
-                result.failures.append(
-                    CellFailure(spec, FAIL_ERROR, outcome["error"], attempt))
-            self._emit_cell(grid, spec, key, done, total, outcome,
-                            cache="miss", attempt=attempt)
-
-        self._drive(pending, lambda item: self._cell_payload(*item),
-                    _execute_cell, on_cell)
-        self._emit("grid-end", grid=grid, ok=len(result.cells),
-                   failed=len(result.failures), cached=cached_cells,
-                   wall_s=round(time.perf_counter() - started, 4))
-        return result
-
-    def run_tasks(self, tasks, grid="tasks"):
-        result = GridResult()
-        started = time.perf_counter()
-        total = len(tasks)
-        self._emit("grid-start", grid=grid, cells=total,
-                   max_workers=self.max_workers)
-        done = 0
-
-        def on_task(item, outcome, attempt):
-            nonlocal done
-            label, _fn = item
-            done += 1
-            status = outcome["status"]
-            if status == "ok":
-                result.set(label, outcome["value"])
-            else:
-                kind = {"timeout": FAIL_TIMEOUT, "crash": FAIL_CRASH}.get(
-                    status, FAIL_ERROR)
-                result.failures.append(
-                    CellFailure(label, kind, outcome["error"], attempt))
-            self._emit("run", grid=grid, label=label, status=status,
-                       cache="miss", wall_s=outcome.get("wall_s", 0.0),
-                       worker=outcome.get("worker"), attempt=attempt,
-                       error=outcome.get("error"), done=done, cells=total)
-
-        self._drive(list(tasks),
-                    lambda item: self._task_payload(*item),
-                    _execute_task, on_task)
-        self._emit("grid-end", grid=grid, ok=len(result.cells),
-                   failed=len(result.failures), cached=0,
-                   wall_s=round(time.perf_counter() - started, 4))
-        return result
-
-    # -- shared submission/retry loop ----------------------------------
-    def _drive(self, items, make_payload, execute, on_done):
-        """Execute ``items`` with crash-retry; calls ``on_done(item,
-        outcome_dict, attempt)`` exactly once per item."""
-        if not items:
-            return
-        payloads = {id(item): make_payload(item) for item in items}
-
-        if self.max_workers == 1:
-            for item in items:
-                on_done(item, execute(payloads[id(item)]), 1)
-            return
-
-        attempts = {id(item): 0 for item in items}
-        queue = list(items)
-        isolate = False  # after any crash, quarantine cells one per pool
-        while queue:
-            for item in queue:
-                attempts[id(item)] += 1
-            if isolate:
-                # one single-worker pool per suspect cell: a poisoned
-                # cell that kills its process cannot take innocent
-                # cells (or the whole grid) down with it.
-                batches = [[item] for item in queue]
-            else:
-                batches = [queue]
-            crashed = []
-            for batch in batches:
-                crashed.extend(self._run_batch(batch, payloads, execute,
-                                               on_done, attempts))
-            queue = []
-            for item in crashed:
-                if attempts[id(item)] > _CRASH_RETRIES:
-                    on_done(item,
-                            {"status": "crash",
-                             "error": "worker process died "
-                                      f"({attempts[id(item)]} attempts)",
-                             "wall_s": 0.0},
-                            attempts[id(item)])
-                else:
-                    queue.append(item)
-            isolate = True
-
-    def _run_batch(self, batch, payloads, execute, on_done, attempts):
-        """Run one batch in one pool; returns the cells that crashed
-        (pool breakage makes every unfinished future suspect)."""
-        executor = ProcessPoolExecutor(
-            max_workers=min(self.max_workers, len(batch)))
-        futures = {}
-        crashed = []
-        try:
-            for item in batch:
-                futures[executor.submit(execute, payloads[id(item)])] = item
-            not_done = set(futures)
-            while not_done:
-                finished, not_done = wait(
-                    not_done, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    item = futures[future]
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        crashed.append(item)
-                    else:
-                        on_done(item, outcome, attempts[id(item)])
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-        return crashed
-
-    # -- telemetry -----------------------------------------------------
-    def _emit_cell(self, grid, spec, key, done, total, outcome, cache,
-                   attempt):
-        self._emit(
-            "run", grid=grid, key=key, label=spec.label(),
-            suite=spec.suite, layout=spec.layout,
-            prefetcher=list(spec.prefetcher or ()) or None,
-            perfect=spec.perfect, cghc=spec.cghc,
-            status=outcome["status"], cache=cache,
-            wall_s=outcome.get("wall_s", 0.0),
-            worker=outcome.get("worker"), attempt=attempt,
-            error=outcome.get("error"),
-            summary=outcome.get("summary"),
-            done=done, cells=total,
-        )

@@ -14,19 +14,36 @@ The OM profile is built the way the paper built it (§5.1): from the
 wisc-prof and wisc+tpch profile runs, merged — not from the workload
 being measured (except that wisc-prof and wisc+tpch are themselves in
 the profile set, as in the paper).
+
+Figure grids run through one engine, :meth:`ExperimentRunner.run_grid`
+(and :meth:`~ExperimentRunner.run_tasks` for opaque tasks): each item
+is computed on the runner itself, in this process, or — on a
+:class:`~repro.harness.parallel.ParallelRunner` with more than one
+worker — over a process pool.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import signal
 import time
+import traceback
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.core import CgpPrefetcher
-from repro.errors import CacheCorruptionError, ConfigError
+from repro.errors import CacheCorruptionError, ConfigError, RunTimeoutError
 from repro.harness.cache import ResultCache, config_fingerprint
-from repro.harness.grid import FAIL_CACHE, FAIL_ERROR, CellFailure, GridResult, RunSpec
+from repro.harness.grid import (
+    FAIL_CACHE,
+    FAIL_CRASH,
+    FAIL_ERROR,
+    FAIL_TIMEOUT,
+    CellFailure,
+    GridResult,
+    RunSpec,
+)
 from repro.harness.telemetry import RunJournal
 from repro.instrument import Tracer, build_db_image
 from repro.instrument.codeimage import freeze_image
@@ -96,7 +113,8 @@ class WorkloadArtifacts:
 
 
 class ExperimentRunner:
-    """Builds and caches artifacts and simulation results.
+    """Builds and caches artifacts and simulation results, and runs
+    grids of simulations (:meth:`run_grid`, :meth:`run_tasks`).
 
     Results are cached at two levels: an in-memory dict for this
     process, and (when ``cache_dir`` or ``results_dir`` is given) a
@@ -240,6 +258,12 @@ class ExperimentRunner:
         if cached is not None:
             return cached
         stats = self.compute_spec(spec)
+        self._store(spec, key, stats)
+        return stats
+
+    def _store(self, spec, key, stats):
+        """Keep one computed result in memory and in the durable cache,
+        with a human-readable echo of its configuration."""
         self._results[key] = stats
         if self.result_cache is not None:
             self.result_cache.put(key, stats, config_echo={
@@ -248,7 +272,6 @@ class ExperimentRunner:
                 "cghc": spec.cghc,
                 "pipeline": self.effective_pipeline(spec.suite),
             })
-        return stats
 
     def compute_spec(self, spec):
         """Uncached simulation of one RunSpec."""
@@ -264,12 +287,15 @@ class ExperimentRunner:
         self._results.clear()
 
     # ------------------------------------------------------------------
-    # grid engine (serial reference implementation; ParallelRunner
-    # overrides run_grid / run_tasks with process fan-out)
+    # grid engine
     # ------------------------------------------------------------------
-    @property
-    def max_workers(self):
-        return 1
+    #: Process fan-out, per-item timeout in seconds (None = unlimited)
+    #: and fault-injection hook; :class:`~repro.harness.parallel.
+    #: ParallelRunner` sets all three from its constructor.  With one
+    #: worker every item runs here, on this runner.
+    max_workers = 1
+    timeout = None
+    fault_hook = None
 
     def _emit(self, event, **fields):
         record = {"event": event, **fields}
@@ -279,80 +305,188 @@ class ExperimentRunner:
             self.progress(record)
 
     def run_grid(self, specs, grid="grid"):
-        """Run every RunSpec in ``specs`` serially; never aborts the
-        grid — failing cells are reported in ``GridResult.failures``."""
+        """Run every distinct RunSpec in ``specs``; never aborts the
+        grid — failing cells are reported in ``GridResult.failures``.
+
+        Cells held by the result caches are served from them; the rest
+        are computed and stored the way :meth:`run_spec` stores them."""
         specs = list(dict.fromkeys(specs))
-        result = GridResult()
-        started = time.perf_counter()
-        cached_cells = 0
-        self._emit("grid-start", grid=grid, cells=len(specs),
-                   max_workers=self.max_workers)
-        for done, spec in enumerate(specs, 1):
-            key = self.fingerprint(spec)
-            cell_started = time.perf_counter()
-            try:
-                hit = self.lookup_cached(spec, fingerprint=key) is not None
-                stats = self.run_spec(spec)
-            except CacheCorruptionError as exc:
-                result.failures.append(
-                    CellFailure(spec, FAIL_CACHE, str(exc)))
-                self._emit("run", grid=grid, key=key, label=spec.label(),
-                           status="error", cache="corrupt",
-                           error=str(exc), done=done, cells=len(specs))
-                continue
-            except Exception as exc:  # never abort the whole figure
-                result.failures.append(
-                    CellFailure(spec, FAIL_ERROR,
-                                f"{type(exc).__name__}: {exc}"))
-                self._emit("run", grid=grid, key=key, label=spec.label(),
-                           status="error",
-                           error=f"{type(exc).__name__}: {exc}",
-                           done=done, cells=len(specs))
-                continue
-            result.set(spec, stats)
-            cached_cells += hit
-            self._emit("run", grid=grid, key=key, label=spec.label(),
+        run = _GridRun(self, grid, len(specs))
+        keys = {spec: self.fingerprint(spec) for spec in specs}
+
+        def finish(spec, outcome, attempt=1, cache="miss"):
+            stats = outcome.get("value")
+            if stats is not None and cache == "miss":
+                self._store(spec, keys[spec], stats)
+            run.finish(spec, outcome, attempt, cache,
+                       key=keys[spec], label=spec.label(),
                        suite=spec.suite, layout=spec.layout,
                        prefetcher=list(spec.prefetcher or ()) or None,
                        perfect=spec.perfect, cghc=spec.cghc,
-                       status="ok", cache="hit" if hit else "miss",
-                       wall_s=round(time.perf_counter() - cell_started, 4),
-                       worker=os.getpid(), attempt=1,
-                       summary=stats.summary(), done=done, cells=len(specs))
-        self._emit("grid-end", grid=grid, ok=len(result.cells),
-                   failed=len(result.failures), cached=cached_cells,
-                   wall_s=round(time.perf_counter() - started, 4))
-        return result
+                       summary=stats.summary() if stats is not None else None)
+
+        pending = []
+        here = {"worker": os.getpid(), "wall_s": 0.0}
+        for spec in specs:
+            try:
+                stats = self.lookup_cached(spec, fingerprint=keys[spec])
+            except CacheCorruptionError as exc:
+                finish(spec, dict(here, status="error", error=str(exc)),
+                       cache="corrupt")
+                continue
+            if stats is None:
+                pending.append(spec)
+            else:
+                finish(spec, dict(here, status="ok", value=stats),
+                       cache="hit")
+
+        compute = self.compute_spec
+        if pending and self.max_workers > 1:
+            from repro.harness.parallel import compute_in_worker
+
+            # a pool worker computes on a runner of its own, built once
+            # per process (see compute_in_worker)
+            compute = partial(compute_in_worker, (
+                self.pipeline, self.sim_config, self.scales, self._cache_dir))
+            if self._cache_dir:
+                # stage-1 artifacts are built once here (and persisted)
+                # so workers only pay a load, not a full trace rebuild.
+                # A suite that cannot be built fails its cells in the
+                # workers, as it would in-process, not the whole grid.
+                for suite in dict.fromkeys(spec.suite for spec in pending):
+                    try:
+                        self.artifacts(suite)
+                    except Exception:
+                        pass
+        self._submit([(spec, partial(compute, spec)) for spec in pending],
+                     finish)
+        return run.end()
 
     def run_tasks(self, tasks, grid="tasks"):
-        """Run (label, callable) pairs serially with per-cell error
-        capture; the parallel engine fans these out over processes."""
-        result = GridResult()
-        started = time.perf_counter()
-        self._emit("grid-start", grid=grid, cells=len(tasks),
-                   max_workers=self.max_workers)
-        for done, (label, fn) in enumerate(tasks, 1):
-            cell_started = time.perf_counter()
-            try:
-                value = fn()
-            except Exception as exc:  # tasks are arbitrary user code
-                result.failures.append(
-                    CellFailure(label, FAIL_ERROR,
-                                f"{type(exc).__name__}: {exc}"))
-                self._emit("run", grid=grid, label=label, status="error",
-                           error=f"{type(exc).__name__}: {exc}",
-                           done=done, cells=len(tasks))
-                continue
-            result.set(label, value)
-            self._emit("run", grid=grid, label=label, status="ok",
-                       cache="miss",
-                       wall_s=round(time.perf_counter() - cell_started, 4),
-                       worker=os.getpid(), attempt=1,
-                       done=done, cells=len(tasks))
-        self._emit("grid-end", grid=grid, ok=len(result.cells),
-                   failed=len(result.failures), cached=0,
-                   wall_s=round(time.perf_counter() - started, 4))
+        """Run ``(label, callable)`` pairs through the same engine as
+        :meth:`run_grid` cells: per-task error capture, timeout and
+        fault hook, no result caching.  A pooled task's callable must
+        pickle."""
+        run = _GridRun(self, grid, len(tasks))
+
+        def finish(label, outcome, attempt):
+            run.finish(label, outcome, attempt, "miss", label=label)
+
+        self._submit(list(tasks), finish)
+        return run.end()
+
+    def _submit(self, jobs, on_done):
+        """The one submission loop: run each ``(name, job)`` pair through
+        :func:`_execute` and call ``on_done(name, outcome, attempt)``
+        once per pair — in order, in this process, with one worker;
+        over a process pool otherwise."""
+        if self.max_workers == 1:
+            for name, job in jobs:
+                on_done(name, _execute(name, job, self.timeout,
+                                       self.fault_hook), 1)
+        else:
+            from repro.harness.parallel import run_pooled
+
+            run_pooled(jobs, self.max_workers, self.timeout,
+                       self.fault_hook, on_done)
+
+
+class _GridRun:
+    """One submission's :class:`GridResult` and journal framing:
+    ``grid-start`` when created, one ``run`` record per finished item,
+    ``grid-end`` from :meth:`end`."""
+
+    def __init__(self, runner, grid, total):
+        self.emit = runner._emit
+        self.grid = grid
+        self.total = total
+        self.done = 0
+        self.cached = 0
+        self.result = GridResult()
+        self.started = time.perf_counter()
+        self.emit("grid-start", grid=grid, cells=total,
+                  max_workers=runner.max_workers)
+
+    def finish(self, name, outcome, attempt, cache, **fields):
+        """Record one item's :func:`_execute` outcome; ``fields`` name
+        the item in its ``run`` record."""
+        status = outcome["status"]
+        if status == "ok":
+            self.result.set(name, outcome["value"])
+            self.cached += cache == "hit"
+        else:
+            kind = FAIL_CACHE if cache == "corrupt" else _FAIL_KINDS.get(
+                status, FAIL_ERROR)
+            self.result.failures.append(
+                CellFailure(name, kind, outcome["error"], attempt))
+        self.done += 1
+        self.emit("run", grid=self.grid, **fields, status=status,
+                  cache=cache, wall_s=outcome["wall_s"],
+                  worker=outcome.get("worker"), attempt=attempt,
+                  error=outcome.get("error"),
+                  traceback=outcome.get("traceback"),
+                  done=self.done, cells=self.total)
+
+    def end(self):
+        result = self.result
+        self.emit("grid-end", grid=self.grid, ok=len(result.cells),
+                  failed=len(result.failures), cached=self.cached,
+                  wall_s=round(time.perf_counter() - self.started, 4))
         return result
+
+
+#: CellFailure kind per failed outcome status (cache corruption aside).
+_FAIL_KINDS = {"timeout": FAIL_TIMEOUT, "crash": FAIL_CRASH}
+
+
+def _raise_timeout(signum, frame):
+    raise RunTimeoutError("per-run timeout expired")
+
+
+class _deadline:
+    """SIGALRM-based timeout; a no-op when unsupported or disabled."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+        self.armed = False
+
+    def __enter__(self):
+        if self.seconds and hasattr(signal, "SIGALRM"):
+            self._previous = signal.signal(signal.SIGALRM, _raise_timeout)
+            signal.setitimer(signal.ITIMER_REAL, self.seconds)
+            self.armed = True
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.armed:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, self._previous)
+        return False
+
+
+def _execute(name, job, timeout, fault_hook):
+    """Run one grid item — a cell's computation or a task — in this
+    process: ``fault_hook(name)``, then ``job()``, under the per-item
+    deadline.  Pool workers run it too.
+
+    Always returns an outcome dict: failures travel as data, not as
+    exceptions, so neither a grid nor a worker pool breaks on a mere
+    simulation error.
+    """
+    started = time.perf_counter()
+    outcome = {"worker": os.getpid()}
+    try:
+        with _deadline(timeout):
+            if fault_hook is not None:
+                fault_hook(name)
+            outcome.update(status="ok", value=job())
+    except RunTimeoutError as exc:
+        outcome.update(status="timeout", error=str(exc))
+    except Exception as exc:  # items run arbitrary code: report, go on
+        outcome.update(status="error", error=f"{type(exc).__name__}: {exc}",
+                       traceback=traceback.format_exc(limit=8))
+    outcome["wall_s"] = round(time.perf_counter() - started, 4)
+    return outcome
 
 
 def _build_trace(suite_name, pipeline):

@@ -11,9 +11,10 @@ Journal record kinds (the ``event`` field):
 * ``grid-start`` — ``{grid, cells, max_workers}``
 * ``run`` — one cell finished:
   ``{grid, key, suite, layout, prefetcher, perfect, cghc, status,
-  cache, wall_s, worker, attempt, summary | error}``
+  cache, wall_s, worker, attempt, summary | error, traceback}``
   where ``status`` is ``ok`` / ``error`` / ``timeout`` / ``crash`` and
-  ``cache`` is ``hit`` / ``miss``.
+  ``cache`` is ``hit`` / ``miss`` / ``corrupt``; a task's record names
+  it by ``label`` alone.
 * ``grid-end`` — ``{grid, ok, failed, cached, wall_s}``
 * ``interval`` — one windowed time-series sample from the simulator
   observability layer (see :mod:`repro.obsv.interval`)
@@ -136,8 +137,9 @@ def progress_printer(stream=None):
     """A progress callback that renders one line per completed cell.
 
     Wire it into an engine:  ``ParallelRunner(..., progress=progress_printer())``.
-    ``scripts/bench_parallel.py`` and ``scripts/run_benchmarks.sh`` use
-    this for live output under long grid runs.
+    The benchmark suite's runner (``benchmarks/conftest.py``) does so
+    under ``REPRO_PROGRESS=1``, which ``scripts/run_benchmarks.sh``
+    sets for live output under long grid runs.
     """
     out = stream if stream is not None else sys.stderr
 

@@ -13,11 +13,11 @@ removes that per-event work without changing a single observable number:
   instruction counts, spans into one flat list of global line addresses
   (built with the layout's precomputed translation table), and
   pre-resolved call-site lines.  Compiled images
-  are cached per trace object (weakly) — traces are append-only, so an
-  image is reused as long as ``len(trace)`` is unchanged — and the
-  work that depends on the trace alone (its content digest and the
-  opcode/operand lists) is done once per trace and shared read-only
-  by every layout's image.
+  are cached per trace object, weakly, so they die with their trace —
+  traces are append-only, so an image is reused as long as
+  ``len(trace)`` is unchanged — and the work that depends on the trace
+  alone (the opcode/operand lists) is done once per trace and shared
+  read-only by every layout's image.
 * **an O(1) residency index** — a bytearray mirror of the L1 content
   replaces the associative ``contains``/``lookup`` scans on the hot
   paths.  Squashed prefetches — the overwhelming majority under NL/CGP
@@ -69,9 +69,8 @@ workloads and randomized traces.
 
 from __future__ import annotations
 
-import hashlib
 import weakref
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from heapq import heappop, heappush
 
 import numpy as _np
@@ -116,7 +115,7 @@ class CompiledTrace:
 
     __slots__ = (
         "n_events", "ops", "ea", "eb", "n_scaled",
-        "seg_start", "seg_end", "lines", "callsite",
+        "seg_start", "seg_end", "lines", "callsite", "__weakref__",
     )
 
     def __init__(self, n_events, ops, ea, eb, n_scaled, seg_start,
@@ -234,36 +233,23 @@ class _TraceEntry:
     ``n_events`` events (traces are append-only).
 
     It holds the trace-side work, done once for every layout: the
-    ``digest`` of the trace's event buffers, which :func:`compile_key`
-    extends with the layout, and the shared :func:`_event_lists`,
-    built by the first compile that misses the content cache.
+    shared :func:`_event_lists`, built by the first compile.
     ``images`` lists the ``(layout, CompiledTrace)`` pairs served so far.
     """
 
-    __slots__ = ("n_events", "digest", "events", "images")
+    __slots__ = ("n_events", "events", "images")
 
     def __init__(self, trace):
         self.n_events = len(trace)
-        h = hashlib.blake2b(digest_size=16)
-        for buffer in (trace.kinds, trace.a, trace.b, trace.c):
-            h.update(buffer)
-        self.digest = h.digest()
         self.events = None
         self.images = []
 
 
-#: trace -> _TraceEntry; weak on the trace so cached images die with it
-#: (and a recycled id can never alias a new trace).
+#: trace -> _TraceEntry; weak on the trace so its compiled images die
+#: with it (and a recycled id can never alias a new trace).  An equal
+#: trace with another identity — a shard worker's unpickled copy —
+#: compiles its own.
 _COMPILE_CACHE = weakref.WeakKeyDictionary()
-
-#: content hash -> CompiledTrace (bounded LRU).  The weak per-object
-#: cache above is the fast path; this layer is keyed like the harness
-#: result cache — by a fingerprint of the *inputs* — so equal-content
-#: (trace, layout) pairs with different identities (a shard worker's
-#: unpickled copies, a benchmark's isolated per-engine layouts) reuse
-#: one compiled image instead of recompiling.
-_CONTENT_CACHE = OrderedDict()
-_CONTENT_CACHE_LIMIT = 16
 
 
 def _trace_entry(trace):
@@ -273,65 +259,11 @@ def _trace_entry(trace):
     return entry
 
 
-def compile_key(trace, layout):
-    """Content fingerprint of everything a compiled image depends on.
-
-    Extends the digest of the trace's raw event buffers (taken once per
-    trace, see :class:`_TraceEntry`) with the layout's flat translation
-    tables and its scaling parameters — the complete input set of
-    :func:`compile_trace` — so the key is stable across object
-    identities and process boundaries.
-    """
-    tbl, bb = layout.translation_table()
-    h = hashlib.blake2b(digest_size=16)
-    h.update(_trace_entry(trace).digest)
-    h.update(tbl)
-    h.update(bb)
-    h.update(repr((layout.num, layout.den, layout.instr_scale,
-                   layout.total_lines)).encode("ascii"))
-    return h.hexdigest()
-
-
-#: layout -> {(n1_sets, n2_sets): (set1_of, set2_of)}; weak on the
-#: layout, like the compile cache.  ``set1_of[fid]``/``set2_of[fid]``
-#: are the CGHC set indices of the function's entry-line tag — compiled
-#: once per (layout, CGHC geometry) so the flat-CGHC kernels never
-#: compute a modulo on their per-event path.  Keying on the geometry
-#: pair means two configs with different CGHC shapes on one layout can
-#: never read each other's tables.
-_CGHC_SET_CACHE = weakref.WeakKeyDictionary()
-
-
-def _cghc_set_tables(layout, n1_sets, n2_sets):
-    """fid -> L1/L2 set index tables for the flat-CGHC kernels.
-
-    ``set2_of`` is ``None`` for one-level caches.  Cached per (layout,
-    geometry); dropped by :func:`clear_compile_cache` with the compiled
-    traces, so a swapped-out layout can never serve stale tables.
-    """
-    key = (n1_sets, n2_sets)
-    per_layout = _CGHC_SET_CACHE.get(layout)
-    if per_layout is None:
-        per_layout = _CGHC_SET_CACHE[layout] = {}
-    tables = per_layout.get(key)
-    if tables is None:
-        base = layout.base_line
-        set1 = [line % n1_sets for line in base]
-        set2 = [line % n2_sets for line in base] if n2_sets else None
-        tables = per_layout[key] = (set1, set2)
-    return tables
-
-
 def clear_compile_cache():
-    """Drop every cached compiled trace — the identity-keyed layer and
-    the content-keyed LRU — and the compiled CGHC set-index tables.
-    Benchmarks call this between engine timing regimes so neither
-    engine's numbers ride on state the other built; tests use it to
-    force cold compiles (and to prove layout swaps cannot read stale
-    CGHC tables)."""
-    _CONTENT_CACHE.clear()
+    """Drop every cached compiled trace.  Benchmarks call this between
+    engine timing regimes so neither engine's numbers ride on state the
+    other built; tests use it to force cold compiles."""
     _COMPILE_CACHE.clear()
-    _CGHC_SET_CACHE.clear()
 
 
 def _compiled(trace, layout):
@@ -339,17 +271,9 @@ def _compiled(trace, layout):
     for cached_layout, compiled in entry.images:
         if cached_layout is layout:
             return compiled
-    key = compile_key(trace, layout)
-    compiled = _CONTENT_CACHE.get(key)
-    if compiled is None:
-        if entry.events is None:
-            entry.events = _event_lists(trace)
-        compiled = _compile_for_layout(trace, layout, *entry.events)
-        _CONTENT_CACHE[key] = compiled
-        if len(_CONTENT_CACHE) > _CONTENT_CACHE_LIMIT:
-            _CONTENT_CACHE.popitem(last=False)
-    else:
-        _CONTENT_CACHE.move_to_end(key)
+    if entry.events is None:
+        entry.events = _event_lists(trace)
+    compiled = _compile_for_layout(trace, layout, *entry.events)
     entry.images.append((layout, compiled))
     return compiled
 
@@ -763,7 +687,7 @@ class FastFetchEngine(FetchEngine):
             # CGP call/return CGHC accesses, inlined: the dict cache is
             # flattened into per-set lists at kernel entry, the
             # dominant first-level probe becomes one tag compare
-            # against a precompiled set-index table, and the rare
+            # against a per-function set-index table, and the rare
             # exchange/miss path runs ``FlatCghc.ensure`` on the same
             # lists.  The dict representation is stale until
             # ``write_back`` at kernel exit; the live image is parked
@@ -784,11 +708,9 @@ class FastFetchEngine(FetchEngine):
                 f1_seq = cg_flat.l1_seq
                 cg_K = cg_flat.slots
                 cg_lat1 = cg_flat.lat1
-                # fid -> L1 set index of the function's entry-line
-                # tag, compiled once per (layout, CGHC geometry)
-                cg_set1 = _cghc_set_tables(
-                    layout, cg_flat.n1, cg_flat.n2
-                )[0]
+                # fid -> L1 set index of the function's entry-line tag
+                cg_n1 = cg_flat.n1
+                cg_set1 = [line % cg_n1 for line in layout.base_line]
                 # per-layout head table: fid -> one-past-last line of
                 # the CGHC-triggered head-prefetch window, the
                 # min(N, size) clamp folded in at build time

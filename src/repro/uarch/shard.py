@@ -360,7 +360,7 @@ def replay_sharded(trace, layout, config, prefetcher=None, seed=12345,
     sequence, and the last segment cannot start before that pass reaches
     its boundary, so the wall time is at least one whole replay plus the
     snapshot and merge overhead (``uarch.shard2_speedup`` in
-    ``bench/run.py --trace`` measures 0.70–0.77 with two workers on a
+    ``bench/run.py --trace`` measures 0.67–0.77 with two workers on a
     2-core host).
 
     ``collector`` — attribution payloads have no cross-process merge,

@@ -24,13 +24,6 @@ from hypothesis import strategies as st
 from repro.core.cghc import CallGraphHistoryCache, FlatCghc
 from repro.errors import ConfigError
 from repro.uarch.config import CghcConfig
-from repro.uarch.fast_engine import (
-    _CGHC_SET_CACHE,
-    _cghc_set_tables,
-    clear_compile_cache,
-)
-
-from tests.uarch.test_engine_equivalence import build_layout
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "60"))
 
@@ -321,29 +314,3 @@ def test_live_flat_serves_mid_kernel_occupancy():
         cghc._live_flat = None
     assert cghc.entry_count() == 2  # dict view again, still pre-writeback
 
-
-# ----------------------------------------------------------------------
-# compiled set tables
-# ----------------------------------------------------------------------
-
-def test_clear_compile_cache_drops_cghc_set_tables():
-    """Layout swaps must never read stale compiled tables: tables are
-    keyed per layout and rebuilt from the live layout after
-    ``clear_compile_cache()``."""
-    ident = build_layout("identity")
-    scram = build_layout("scrambled")
-    t_ident = _cghc_set_tables(ident, 4, 16)
-    t_scram = _cghc_set_tables(scram, 4, 16)
-    assert t_ident[0] == [line % 4 for line in ident.base_line]
-    assert t_ident[1] == [line % 16 for line in ident.base_line]
-    assert t_scram[0] == [line % 4 for line in scram.base_line]
-    # equal geometry, different layouts: never shared
-    assert t_ident is not t_scram
-    # memoized per (layout, geometry)
-    assert _cghc_set_tables(ident, 4, 16) is t_ident
-    assert _cghc_set_tables(ident, 4, 0)[1] is None
-    clear_compile_cache()
-    assert len(_CGHC_SET_CACHE) == 0
-    fresh = _cghc_set_tables(ident, 4, 16)
-    assert fresh is not t_ident  # rebuilt, not served stale
-    assert fresh[0] == t_ident[0] and fresh[1] == t_ident[1]

@@ -2,9 +2,9 @@
 byte-identical ExperimentResult rows whether its grid runs through the
 plain serial ExperimentRunner or through ParallelRunner(max_workers=4).
 
-Stats cross the process boundary via SimStats.to_dict()/from_dict() and
-the durable JSON cache, so these tests also pin that both round-trips
-are lossless (floats survive exactly).
+Stats cross the process boundary pickled, and the durable JSON cache
+via SimStats.to_dict()/from_dict(), so these tests also pin that both
+round-trips are lossless (floats survive exactly).
 """
 
 import pytest

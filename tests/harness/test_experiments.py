@@ -19,6 +19,11 @@ from repro.harness import (
     runahead_ablation,
     workload_statistics,
 )
+from repro.harness.experiments import (
+    recovery_experiment,
+    serving_experiment,
+    storage_scale_experiment,
+)
 
 WORKLOADS = ["wisc-prof"]
 
@@ -115,6 +120,25 @@ def test_workload_statistics(small_runner):
     assert 0.6 <= row["fanout_below_8"] <= 1.0  # paper: 0.80
     assert row["code_footprint_kb"] * 1024 > 32 * 1024  # exceeds L1
     assert row["max_call_depth"] >= 5
+
+
+@pytest.mark.parametrize("driver,workload", [
+    (recovery_experiment, "recovery"),
+    (storage_scale_experiment, "wisc-scale"),
+    (serving_experiment, "serving"),
+])
+def test_extension_drivers_compare_cgp_with_nl(small_runner, driver,
+                                               workload):
+    result = driver(small_runner)
+    assert result.failures == []
+    assert result.columns == ["O5", "OM+NL_4", "OM+CGP_4",
+                              "speedup:CGP4_over_NL4", "mpki:NL_4",
+                              "mpki:CGP_4"]
+    ((label, values),) = result.rows
+    assert label == workload
+    assert set(values) == set(result.columns)
+    assert values["speedup:CGP4_over_NL4"] == (
+        values["OM+NL_4"] / values["OM+CGP_4"])
 
 
 def test_render_experiment_text_and_markdown(f4):

@@ -81,6 +81,16 @@ def test_raising_worker_in_serial_degenerate_case(tmp_path):
     assert failure.kind == FAIL_ERROR
 
 
+def test_unbuildable_suite_fails_its_cells_not_the_grid(tmp_path):
+    unknown = RunSpec("tpc-c", "OM", None)
+    engine = make_engine(tmp_path, max_workers=2)
+    grid = engine.run_grid([unknown], grid="unbuildable")
+    (failure,) = grid.failures
+    assert failure.key == unknown
+    assert failure.kind == FAIL_ERROR
+    assert "unknown workload" in failure.error
+
+
 def test_timeout_yields_partial_grid_not_a_hang(tmp_path):
     engine = make_engine(tmp_path, max_workers=2, timeout=1.5,
                          fault_hook=sleep_on_bad)

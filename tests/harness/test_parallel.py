@@ -5,6 +5,10 @@ Fault injection (crash / timeout / corruption) lives in
 ``test_equivalence.py``.
 """
 
+import gc
+import json
+import weakref
+
 import pytest
 
 from repro.harness import (
@@ -14,6 +18,7 @@ from repro.harness import (
     RunSpec,
     progress_printer,
 )
+from repro.harness import runner as runner_module
 
 SCALES = {"wisc-prof": 0.06}
 
@@ -53,6 +58,59 @@ def test_max_workers_one_is_serial_degenerate_case(tmp_path, art_dir):
     serial = make_engine(tmp_path, art_dir, max_workers=1)
     grid = serial.run_grid(GRID, grid="serial")
     assert grid.ok and len(grid) == len(GRID)
+
+
+def record_builds(monkeypatch):
+    """Weak references to every trace built from scratch from now on."""
+    built = []
+    build = runner_module._build_trace
+
+    def recording(suite_name, pipeline):
+        image, trace, query_rows, pool_stats = build(suite_name, pipeline)
+        built.append(weakref.ref(trace))
+        return image, trace, query_rows, pool_stats
+
+    monkeypatch.setattr(runner_module, "_build_trace", recording)
+    return built
+
+
+def serial_engine():
+    """A one-worker engine with no artifact cache, at a scale of its own."""
+    return ParallelRunner(pipeline=PipelineConfig(quantum_rows=2),
+                          scales={"wisc-prof": 0.04}, max_workers=1)
+
+
+def test_serial_grid_and_artifacts_share_one_build(monkeypatch):
+    built = record_builds(monkeypatch)
+    engine = serial_engine()
+    assert engine.run_grid(GRID[:2], grid="one-build").ok
+    assert engine.artifacts("wisc-prof").trace is built[0]()
+    assert len(built) == 1
+
+
+def test_deleting_a_serial_runner_frees_its_trace(monkeypatch):
+    built = record_builds(monkeypatch)
+    engine = serial_engine()
+    assert engine.run_grid(GRID[:2], grid="freed").ok
+    del engine
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
+
+
+def test_pooled_grid_stores_run_spec_config_echo(tmp_path, art_dir):
+    spec = GRID[2]
+    pooled = make_engine(tmp_path, art_dir, max_workers=2)
+    assert pooled.run_grid([spec], grid="echo").ok
+    serial = make_engine(tmp_path, art_dir, max_workers=1,
+                         results_dir=str(tmp_path / "serial"))
+    serial.run_spec(spec)
+
+    def echo(engine):
+        with open(engine.result_cache.path(engine.fingerprint(spec))) as fh:
+            return json.load(fh)["config"]
+
+    assert echo(pooled) == echo(serial)
+    assert echo(pooled)["prefetcher"] == ["nl", 2]
 
 
 def test_duplicate_specs_deduplicated(tmp_path, art_dir):

@@ -1,11 +1,15 @@
 """The compile cache's per-trace entry: trace-side work done once.
 
 Compiling a trace for a layout splits into work that depends on the
-trace alone — its content digest and the ``ops``/``ea``/``eb`` lists —
-and the layout's translation.  The first part is done once per trace
-and shared read-only by every layout's image; it is valid only while
-the trace keeps its length, and ``clear_compile_cache()`` drops it.
+trace alone — the ``ops``/``ea``/``eb`` lists — and the layout's
+translation.  The first part is done once per trace and shared
+read-only by every layout's image; it is valid only while the trace
+keeps its length, and ``clear_compile_cache()`` drops it.  The entry is
+weak on the trace, so every compiled image dies with its trace.
 """
+
+import gc
+import weakref
 
 from repro.instrument.codeimage import CodeImage
 from repro.instrument.expand import ExpansionConfig, expand_trace
@@ -15,7 +19,6 @@ from repro.uarch.fast_engine import (
     _COMPILE_CACHE,
     _compiled,
     clear_compile_cache,
-    compile_key,
     compile_trace,
 )
 
@@ -64,15 +67,12 @@ def test_growing_the_trace_recompiles_every_layout():
     trace, layouts = trace_and_layouts()
     before = {name: _compiled(trace, layout)
               for name, layout in layouts.items()}
-    keys = {name: compile_key(trace, layout)
-            for name, layout in layouts.items()}
     trace.add_exec(1, 0, 119)
     after = {name: _compiled(trace, layout)
              for name, layout in layouts.items()}
     for name, layout in layouts.items():
         assert after[name] is not before[name]
         assert after[name].n_events == len(trace)
-        assert compile_key(trace, layout) != keys[name]
         fresh = compile_trace(trace, layout)
         for field in SHARED + PER_LAYOUT:
             assert getattr(after[name], field) == getattr(fresh, field)
@@ -90,3 +90,14 @@ def test_clear_compile_cache_drops_the_trace_side_part():
     again = _compiled(trace, layouts["O5"])
     assert again is not first
     assert again.ops is not first.ops and again.ops == first.ops
+
+
+def test_compiled_images_die_with_their_trace():
+    clear_compile_cache()
+    trace, layouts = trace_and_layouts()
+    images = [weakref.ref(_compiled(trace, layout))
+              for layout in layouts.values()]
+    del trace
+    gc.collect()
+    assert [image() for image in images] == [None, None]
+    assert len(_COMPILE_CACHE) == 0
