@@ -31,8 +31,8 @@ this proves rather than assumes isolation); then the fast engine's
 compile is re-warmed (cost reported in ``phases``, not in cell times)
 and the fast engine runs ``--repeats`` times steady-state.  Best run
 wins in both regimes.  The sharded path is timed end-to-end —
-boundaries, record pass, replay, merge — because the record pass is
-part of its real cost.
+boundaries, record pass, shard replay, seam checks — because the record
+pass is part of its real cost.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def measure(repeats, shards=0, profile_dir=None):
         run("fast")
         rewarm_total += time.perf_counter() - t0
         fast_s = best_of(repeats, lambda: run("fast"))
-        # regime 3: sharded end-to-end (record + replay + merge)
+        # regime 3: sharded end-to-end (record + replay + seam checks)
         shard_s = best_of(max(1, repeats - 1), run_sharded)
         if profile_dir:
             # one profiled steady-state fast run per cell, outside the

@@ -37,13 +37,6 @@ class CghcEntry:
         self.index = 1
         self.seq = []
 
-    def clone(self):
-        dup = CghcEntry.__new__(CghcEntry)
-        dup.tag = self.tag
-        dup.index = self.index
-        dup.seq = self.seq[:]
-        return dup
-
     def record_call(self, callee_fid, max_slots):
         """Call-update access: store the callee at the slot the index
         points to, then advance the index (§3.2)."""
@@ -135,18 +128,6 @@ class DirectMappedCghc:
 
     def entry_count(self):
         return sum(len(bucket) for bucket in self._sets)
-
-    def clone(self):
-        """Independent copy (compact-snapshot path; no deepcopy)."""
-        dup = DirectMappedCghc.__new__(DirectMappedCghc)
-        dup.n_entries = self.n_entries
-        dup.max_slots = self.max_slots
-        dup.ways = self.ways
-        dup.n_sets = self.n_sets
-        dup._sets = [
-            [entry.clone() for entry in bucket] for bucket in self._sets
-        ]
-        return dup
 
 
 class FlatCghc:
@@ -510,27 +491,3 @@ class CallGraphHistoryCache:
         if self.l2 is not None:
             total += self.l2.entry_count()
         return total
-
-    def clone(self):
-        """Independent copy for compact warm-start snapshots.  Must not
-        be called while a kernel holds the state flat (``_live_flat``);
-        snapshots are only taken at kernel boundaries, where the dict
-        representation is canonical."""
-        dup = CallGraphHistoryCache.__new__(CallGraphHistoryCache)
-        dup.config = self.config
-        dup.infinite = self.infinite
-        dup.max_slots = self.max_slots
-        if self.infinite:
-            dup._store = {
-                tag: entry.clone() for tag, entry in self._store.items()
-            }
-            dup.l1 = None
-            dup.l2 = None
-        else:
-            dup._store = None
-            dup.l1 = self.l1.clone()
-            dup.l2 = self.l2.clone() if self.l2 is not None else None
-        dup.l1_hits = self.l1_hits
-        dup.l2_hits = self.l2_hits
-        dup.misses = self.misses
-        return dup

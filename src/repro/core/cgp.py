@@ -49,7 +49,6 @@ class CgpPrefetcher(Prefetcher):
             raise ConfigError("CGP_N needs N >= 1")
         self.lines_per_prefetch = lines_per_prefetch
         self.cghc = CallGraphHistoryCache(cghc_config)
-        self._layout = layout
         self._entry = layout.base_line  # fid -> entry line (block 0 pinned)
         self._nl = NextNLinePrefetcher(lines_per_prefetch, origin=ORIGIN_NL)
         # on_line_access is exactly the NL component's automaton, so the
@@ -60,22 +59,6 @@ class CgpPrefetcher(Prefetcher):
     def reset(self):
         self.cghc = CallGraphHistoryCache(self.cghc.config)
         self._nl.reset()
-
-    def clone_state(self):
-        if type(self) is not CgpPrefetcher:
-            return super().clone_state()
-        dup = CgpPrefetcher.__new__(CgpPrefetcher)
-        dup.lines_per_prefetch = self.lines_per_prefetch
-        dup.cghc = self.cghc.clone()
-        # the layout and its entry table are immutable during a run:
-        # shared by identity, so a pickled snapshot keeps the
-        # single-copy sharing a deepcopy memo used to provide
-        dup._layout = self._layout
-        dup._entry = self._entry
-        dup._nl = self._nl.clone_state()
-        dup.nl_component = dup._nl
-        dup.name = self.name
-        return dup
 
     # ------------------------------------------------------------------
     # within a function: plain NL

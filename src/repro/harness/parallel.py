@@ -140,7 +140,9 @@ class ParallelRunner(ExperimentRunner):
         cell in-process, on this runner.
     ``timeout``
         Per-run wall-clock budget in seconds (None = unlimited),
-        enforced around each cell or task.
+        enforced around each cell or task.  An item computed in-process
+        off the main thread has no deadline: only the main thread can
+        arm ``SIGALRM``.
     ``fault_hook``
         Picklable callable invoked with each spec (or task label) before
         it runs, where it runs.  Exists for fault-injection tests and

@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field, replace
@@ -444,14 +445,17 @@ def _raise_timeout(signum, frame):
 
 
 class _deadline:
-    """SIGALRM-based timeout; a no-op when unsupported or disabled."""
+    """SIGALRM-based timeout; a no-op when disabled, where ``SIGALRM``
+    does not exist, or off the main thread (which alone may set signal
+    handlers)."""
 
     def __init__(self, seconds):
         self.seconds = seconds
         self.armed = False
 
     def __enter__(self):
-        if self.seconds and hasattr(signal, "SIGALRM"):
+        if (self.seconds and hasattr(signal, "SIGALRM")
+                and threading.current_thread() is threading.main_thread()):
             self._previous = signal.signal(signal.SIGALRM, _raise_timeout)
             signal.setitimer(signal.ITIMER_REAL, self.seconds)
             self.armed = True

@@ -18,10 +18,8 @@ addresses.
 Building stays append-friendly: the ``add_*`` methods (and direct
 ``.append``/``.extend`` on the parallel arrays, which several producers
 use for speed) are plain amortized-O(1) appends.  Aggregates
-(``counts()``, ``call_count()``, ``total_instructions()``) are O(1) per
-query: running counters are maintained *lazily* — each query folds in
-only the events appended since the previous query, so no full pass over
-the arrays ever repeats.
+(``counts()``, ``call_count()``, ``total_instructions()``) are numpy
+passes over the whole arrays on each query.
 
 Persistence is a versioned binary format (magic, format version, event
 count, raw little-endian array payloads, CRC-32) — see :meth:`Trace.save`.
@@ -62,21 +60,13 @@ _FIELD_TYPECODE = "q"
 class Trace:
     """Append-only event trace (parallel arrays)."""
 
-    __slots__ = ("kinds", "a", "b", "c",
-                 "_counted", "_n_exec", "_n_call", "_n_ret", "_n_switch",
-                 "_exec_instrs", "__weakref__")
+    __slots__ = ("kinds", "a", "b", "c", "__weakref__")
 
     def __init__(self):
         self.kinds = array(_KIND_TYPECODE)
         self.a = array(_FIELD_TYPECODE)
         self.b = array(_FIELD_TYPECODE)
         self.c = array(_FIELD_TYPECODE)
-        self._counted = 0
-        self._n_exec = 0
-        self._n_call = 0
-        self._n_ret = 0
-        self._n_switch = 0
-        self._exec_instrs = 0
 
     # ------------------------------------------------------------------
     # building
@@ -130,78 +120,36 @@ class Trace:
         """Yield (kind, a, b, c) tuples."""
         return zip(self.kinds, self.a, self.b, self.c)
 
-    def _refresh_counters(self):
-        """Fold events appended since the last aggregate query into the
-        running counters (amortized O(1) per appended event)."""
-        n = len(self.kinds)
-        start = self._counted
-        if start == n:
-            return
-        if start > n:  # arrays were replaced/truncated: recount from zero
-            start = 0
-            self._n_exec = self._n_call = self._n_ret = self._n_switch = 0
-            self._exec_instrs = 0
-        kinds = self.kinds
-        b = self.b
-        c = self.c
-        if n - start > 4096:  # small increments fold faster in Python
-            kn = _np.frombuffer(kinds, dtype=_np.int8, count=n)[start:]
-            if kn.min() < EXEC or kn.max() > SWITCH:
-                bad = int(kn[(kn < EXEC) | (kn > SWITCH)][0])
-                raise TraceError(f"unknown trace event kind {bad}")
-            ex = kn == EXEC
-            n_exec = int(ex.sum())
-            n_call = int((kn == CALL).sum())
-            n_ret = int((kn == RET).sum())
-            n_switch = int((kn == SWITCH).sum())
-            bn = _np.frombuffer(self.b, dtype=_np.int64, count=n)[start:][ex]
-            cn = _np.frombuffer(self.c, dtype=_np.int64, count=n)[start:][ex]
-            exec_instrs = int(_np.abs(cn - bn).sum()) + n_exec
-        else:
-            n_exec = n_call = n_ret = n_switch = 0
-            exec_instrs = 0
-            for i in range(start, n):
-                kind = kinds[i]
-                if kind == EXEC:
-                    n_exec += 1
-                    exec_instrs += abs(c[i] - b[i]) + 1
-                elif kind == CALL:
-                    n_call += 1
-                elif kind == RET:
-                    n_ret += 1
-                elif kind == SWITCH:
-                    n_switch += 1
-                else:
-                    raise TraceError(f"unknown trace event kind {kind}")
-        self._n_exec += n_exec
-        self._n_call += n_call
-        self._n_ret += n_ret
-        self._n_switch += n_switch
-        self._exec_instrs += exec_instrs
-        self._counted = n
+    def _per_kind(self):
+        """Event counts indexed by kind (one ``bincount`` pass)."""
+        kinds = _np.frombuffer(self.kinds, dtype=_np.uint8)
+        per_kind = _np.bincount(kinds, minlength=SWITCH + 1)
+        if len(per_kind) > SWITCH + 1:  # a kind above SWITCH, or negative
+            bad = _np.frombuffer(self.kinds, dtype=_np.int8)[kinds > SWITCH]
+            raise TraceError(f"unknown trace event kind {int(bad[0])}")
+        return [int(n) for n in per_kind]
 
     def counts(self):
-        """Event counts by kind name (O(1) amortized)."""
-        self._refresh_counters()
+        """Event counts by kind name."""
         return {
-            "EXEC": self._n_exec,
-            "CALL": self._n_call,
-            "RET": self._n_ret,
-            "SWITCH": self._n_switch,
+            _KIND_NAMES[kind]: n for kind, n in enumerate(self._per_kind())
         }
 
     def total_instructions(self, call_overhead=2):
-        """Dynamic instruction count implied by the trace (O(1) amortized).
+        """Dynamic instruction count implied by the trace.
 
         EXEC contributes |to - from| + 1; each CALL and RET contributes
         ``call_overhead`` (the call/return instructions themselves).
         """
-        self._refresh_counters()
-        return self._exec_instrs + (self._n_call + self._n_ret) * call_overhead
+        per_kind = self._per_kind()
+        ex = _np.frombuffer(self.kinds, dtype=_np.int8) == EXEC
+        b = _np.frombuffer(self.b, dtype=_np.int64)[ex]
+        c = _np.frombuffer(self.c, dtype=_np.int64)[ex]
+        return (int(_np.abs(c - b).sum()) + per_kind[EXEC]
+                + (per_kind[CALL] + per_kind[RET]) * call_overhead)
 
     def call_count(self):
-        self._refresh_counters()
-        return self._n_call
+        return self._per_kind()[CALL]
 
     # ------------------------------------------------------------------
     # persistence

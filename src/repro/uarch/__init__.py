@@ -6,14 +6,7 @@ from repro.uarch.fast_engine import CompiledTrace, FastFetchEngine, compile_trac
 from repro.uarch.fetch_engine import FetchEngine, engine_class, simulate
 from repro.uarch.memsys import MemorySystem
 from repro.uarch.ras import ModifiedReturnAddressStack, RasEntry
-from repro.uarch.shard import (
-    EngineState,
-    ShardPiece,
-    combine_pieces,
-    merge_pieces,
-    replay_sharded,
-    shard_boundaries,
-)
+from repro.uarch.shard import EngineState, replay_sharded, shard_boundaries
 from repro.uarch.stats import PrefetchStats, SimStats
 
 __all__ = [
@@ -23,11 +16,8 @@ __all__ = [
     "EngineState",
     "FastFetchEngine",
     "FetchEngine",
-    "ShardPiece",
-    "combine_pieces",
     "compile_trace",
     "engine_class",
-    "merge_pieces",
     "replay_sharded",
     "shard_boundaries",
     "MemorySystem",

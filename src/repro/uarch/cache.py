@@ -112,16 +112,6 @@ class SetAssocCache:
             p -= 1
         return False
 
-    def clone(self):
-        """Independent copy (compact-snapshot path; no deepcopy)."""
-        dup = SetAssocCache.__new__(SetAssocCache)
-        dup.n_sets = self.n_sets
-        dup.assoc = self.assoc
-        dup.ways = self.ways[:]
-        dup.hits = self.hits
-        dup.misses = self.misses
-        return dup
-
     def resident_lines(self):
         """All lines currently cached, per set in LRU->MRU order."""
         return [line for line in self.ways if line != EMPTY_WAY]

@@ -399,25 +399,21 @@ class FastFetchEngine(FetchEngine):
     def run(self, trace):
         return self.run_range(trace, 0, None)
 
-    def run_range(self, trace, start=0, end=None, finalize=None):
+    def run_range(self, trace, start=0, end=None):
         """Replay events ``[start, end)`` of ``trace``.
 
         ``run()`` is ``run_range(trace, 0, None)``.  The sharded
         replayer (:mod:`repro.uarch.shard`) drives the same kernels one
-        boundary-to-boundary segment at a time; ``finalize`` controls
-        whether the end-of-run classification (untouched/in-flight
-        prefetches become *useless*, derived totals are materialized)
-        happens — it defaults to "only when the segment reaches the end
-        of the trace", and a recording pass passes ``False`` explicitly
-        to keep state live across a boundary at the trace's end.
+        boundary-to-boundary segment at a time.  The end-of-run
+        classification (untouched/in-flight prefetches become
+        *useless*, derived totals are materialized) happens only when
+        the segment reaches the end of the trace.
         """
         compiled = _compiled(trace, self.layout)
         ev0 = start
         ev1 = compiled.n_events if end is None else end
         if not 0 <= ev0 <= ev1 <= compiled.n_events:
             raise SimulationError("event range outside the trace")
-        if finalize is None:
-            finalize = ev1 == compiled.n_events
         config = self.config
         stats = self.stats
         prefetcher = self.prefetcher
@@ -1332,6 +1328,6 @@ class FastFetchEngine(FetchEngine):
             if instructions >= s_next:
                 sampler.take(self)  # the last event's boundary
         self._rebuild_l1_order()
-        if finalize:
+        if ev1 == compiled.n_events:
             self._finalize()
         return stats

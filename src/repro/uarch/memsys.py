@@ -78,21 +78,6 @@ class MemorySystem:
         l2.insert(line)
         return start + self._hit_latency + self._memory_latency, True
 
-    def clone(self):
-        """Independent copy (compact-snapshot path; no deepcopy)."""
-        dup = MemorySystem.__new__(MemorySystem)
-        dup.l2 = self.l2.clone()
-        dup._hit_latency = self._hit_latency
-        dup._memory_latency = self._memory_latency
-        dup._occupancy = self._occupancy
-        dup._demand_priority = self._demand_priority
-        dup._port_free_at = self._port_free_at
-        dup._demand_free_at = self._demand_free_at
-        dup.l2_hits = self.l2_hits
-        dup.l2_misses = self.l2_misses
-        dup.transactions = self.transactions
-        return dup
-
     @property
     def port_free_at(self):
         return self._port_free_at

@@ -15,8 +15,6 @@ and ``engine.prefetch_function_head(fid, n_lines, origin, delay)``.
 
 from __future__ import annotations
 
-import copy
-
 
 class Prefetcher:
     """Base: no prefetching (the paper's O5 / OM-only baselines)."""
@@ -25,16 +23,6 @@ class Prefetcher:
 
     def reset(self):
         """Clear any internal state between runs."""
-
-    def clone_state(self):
-        """Independent copy carrying all mutable state, for warm-start
-        snapshots (:mod:`repro.uarch.shard`).  The base implementation
-        deep-copies, which is always correct; stateful subclasses
-        override with compact type-exact copies and must fall back to
-        ``super().clone_state()`` for subclasses they do not know."""
-        if type(self) is Prefetcher:
-            return self  # stateless base: sharing is exact
-        return copy.deepcopy(self)
 
     def on_line_access(self, line, engine):
         pass

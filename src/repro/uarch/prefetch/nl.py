@@ -34,14 +34,6 @@ class NextNLinePrefetcher(Prefetcher):
     def reset(self):
         self._last_line = -2
 
-    def clone_state(self):
-        if type(self) is not NextNLinePrefetcher:
-            return super().clone_state()
-        dup = NextNLinePrefetcher(self.n_lines, origin=self.origin)
-        dup.name = self.name
-        dup._last_line = self._last_line
-        return dup
-
     def on_line_access(self, line, engine):
         if line == self._last_line + 1:
             engine.issue_prefetch(line + self.n_lines, self.origin)
@@ -70,16 +62,6 @@ class RunAheadNLPrefetcher(Prefetcher):
 
     def reset(self):
         self._last_line = -2
-
-    def clone_state(self):
-        if type(self) is not RunAheadNLPrefetcher:
-            return super().clone_state()
-        dup = RunAheadNLPrefetcher(
-            self.n_lines, self.run_ahead, origin=self.origin
-        )
-        dup.name = self.name
-        dup._last_line = self._last_line
-        return dup
 
     def on_line_access(self, line, engine):
         if line == self._last_line + 1:

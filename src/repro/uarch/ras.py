@@ -54,19 +54,6 @@ class ModifiedReturnAddressStack:
         self._buffer[self._top] = None
         return entry
 
-    def clone(self):
-        """Independent copy (compact-snapshot path; no deepcopy).
-        Buffer entries are immutable tuples, so a shallow list copy is
-        a full copy."""
-        dup = ModifiedReturnAddressStack.__new__(ModifiedReturnAddressStack)
-        dup._depth = self._depth
-        dup._buffer = self._buffer[:]
-        dup._top = self._top
-        dup._count = self._count
-        dup.overflows = self.overflows
-        dup.underflows = self.underflows
-        return dup
-
     def peek(self):
         if self._count == 0:
             return None

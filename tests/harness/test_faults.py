@@ -11,6 +11,7 @@ worker processes.
 
 import functools
 import os
+import threading
 import time
 
 from repro.harness import ParallelRunner, PipelineConfig, RunSpec
@@ -102,6 +103,22 @@ def test_timeout_yields_partial_grid_not_a_hang(tmp_path):
     (failure,) = grid.failures
     assert failure.key == BAD
     assert failure.kind == FAIL_TIMEOUT
+
+
+def test_in_process_items_off_the_main_thread_run_without_deadline(
+        tmp_path):
+    """Only the main thread can arm ``SIGALRM``: an in-process task run
+    from another thread gets no deadline instead of failing."""
+    engine = make_engine(tmp_path, max_workers=1, timeout=5)
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(engine.run_tasks([("t", int)])))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    (grid,) = results
+    assert grid.cells == {"t": 0}
+    assert not grid.failures
 
 
 def test_crashing_worker_is_retried_then_reported(tmp_path):

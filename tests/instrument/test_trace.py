@@ -124,8 +124,8 @@ def test_load_rejects_truncated_file(tmp_path):
 
 
 def test_counters_stay_correct_across_appends():
-    """counts()/call_count()/total_instructions() are O(1) amortized:
-    they must refresh correctly when events are appended after a read."""
+    """counts()/call_count()/total_instructions() must see events
+    appended after a read."""
     trace = Trace()
     trace.add_exec(0, 0, 9)
     assert trace.counts()["EXEC"] == 1
@@ -136,6 +136,16 @@ def test_counters_stay_correct_across_appends():
     assert trace.counts() == {"EXEC": 2, "CALL": 1, "RET": 1, "SWITCH": 0}
     assert trace.call_count() == 1
     assert trace.total_instructions(call_overhead=2) == 10 + 2 + 5 + 2
+
+
+def test_counts_reject_unknown_event_kind():
+    trace = Trace()
+    trace.add_exec(0, 0, 9)
+    trace.kinds.append(7)
+    for field in (trace.a, trace.b, trace.c):
+        field.append(0)
+    with pytest.raises(TraceError, match="unknown trace event kind 7"):
+        trace.counts()
 
 
 def test_validate_balanced_trace():

@@ -27,7 +27,7 @@ from repro.layout.layouts import AddressMap
 from repro.obsv import AttributionCollector, validate_payload
 from repro.uarch.config import CacheConfig, CghcConfig, SimConfig
 from repro.uarch.fast_engine import FastFetchEngine
-from repro.uarch.fetch_engine import simulate
+from repro.uarch.fetch_engine import FetchEngine, simulate
 from repro.uarch.prefetch.nl import NextNLinePrefetcher, RunAheadNLPrefetcher
 
 N_FUNCTIONS = 6
@@ -164,14 +164,55 @@ def both_engines(trace, layout, config, pf_name, degree):
     return ref.to_dict(), fast.to_dict()
 
 
+def engine_state(engine):
+    """Everything a warm-start snapshot carries that ``SimStats`` does
+    not show: cache ways in recency order, cache/memory-system counters
+    and port clocks, the RAS, the clock and the predictor LCG, the NL
+    automaton and the CGHC contents."""
+    l1, memsys, ras = engine.l1i, engine.memsys, engine.ras
+    l2 = memsys.l2
+    state = {
+        "l1": (list(l1.ways), l1.hits, l1.misses),
+        "l2": (list(l2.ways), l2.hits, l2.misses),
+        "memsys": (memsys.l2_hits, memsys.l2_misses, memsys.transactions,
+                   memsys._port_free_at, memsys._demand_free_at),
+        "ras": (list(ras._buffer), ras._top, ras._count, ras.overflows,
+                ras.underflows),
+        "cycle": engine.cycle,
+        "rng": engine._rng_state,
+    }
+    nl = getattr(engine.prefetcher, "nl_component", None)
+    if nl is not None:
+        state["nl_last"] = nl._last_line
+    cghc = getattr(engine.prefetcher, "cghc", None)
+    if cghc is not None and cghc.infinite:
+        state["cghc"] = {
+            tag: (entry.index, entry.seq)
+            for tag, entry in cghc._store.items()
+        }
+    elif cghc is not None:
+        state["cghc"] = [
+            [[(e.tag, e.index, e.seq) for e in bucket]
+             for bucket in level._sets]
+            for level in (cghc.l1, cghc.l2) if level is not None
+        ]
+    return state
+
+
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(trace=traces(), pf=st.sampled_from(PREFETCHERS),
        degree=st.integers(1, 4), layout_kind=st.sampled_from(LAYOUTS))
 def test_engines_identical_on_random_traces(trace, pf, degree, layout_kind):
+    """Equal stats, and equal engine state after the run."""
     layout = build_layout(layout_kind)
-    ref, fast = both_engines(trace, layout, SMALL_CONFIG, pf, degree)
-    assert ref == fast
+    ref, fast = (
+        cls(SMALL_CONFIG, layout,
+            prefetcher=make_prefetcher(pf, layout, degree))
+        for cls in (FetchEngine, FastFetchEngine)
+    )
+    assert ref.run(trace).to_dict() == fast.run(trace).to_dict()
+    assert engine_state(ref) == engine_state(fast)
 
 
 @settings(max_examples=25, deadline=None,

@@ -1,14 +1,11 @@
-"""Properties of the deterministic shard-stats merge.
+"""Sharded replay: warm-start snapshots, seam checks, boundaries.
 
-:func:`repro.uarch.shard.merge_pieces` must be a *total* accounting:
-associative, order-independent, exactly equal to single-process totals
-for every counter and prefetch histogram, and loudly broken (never
-silently wrong) when handed a piece set that does not tile the trace or
-whose counters do not chain.
+:func:`repro.uarch.shard.replay_sharded` returns the last shard's exit
+stats, which must equal a single-process run exactly, and it must
+refuse — never silently accept — a seam where one shard's exit stats
+differ from the next shard's entry stats, and cut points that do not
+tile the trace.
 """
-
-import copy
-import itertools
 
 import pytest
 
@@ -17,14 +14,10 @@ from repro.errors import SimulationError
 from repro.instrument.codeimage import CodeImage
 from repro.instrument.trace import SWITCH, Trace
 from repro.layout.layouts import AddressMap
+from repro.uarch import shard
 from repro.uarch.config import CacheConfig, CghcConfig, SimConfig
 from repro.uarch.fetch_engine import simulate
-from repro.uarch.shard import (
-    combine_pieces,
-    merge_pieces,
-    replay_sharded,
-    shard_boundaries,
-)
+from repro.uarch.shard import replay_sharded, shard_boundaries
 from repro.uarch.stats import SimStats
 
 N_FUNCTIONS = 6
@@ -83,92 +76,56 @@ def build_trace(n=240, switches=False):
     return trace
 
 
-@pytest.fixture(scope="module")
-def pieces():
-    """Four shard pieces of the deterministic trace, plus the
-    single-process stats they must reassemble into."""
+def test_four_shards_equal_single_process_exactly():
     layout = build_layout()
     trace = build_trace()
+    assert len(shard_boundaries(trace, layout, 4)) == 5
     single = simulate(trace, layout, CONFIG,
                       prefetcher=make_prefetcher(layout), engine="fast")
-    merged, parts = replay_sharded(
-        trace, layout, CONFIG, prefetcher=make_prefetcher(layout),
-        n_shards=4, return_pieces=True)
-    assert len(parts) == 4
-    return single, merged, parts
-
-
-def test_merge_equals_single_process_exactly(pieces):
-    single, merged, _ = pieces
-    sd, md = single.to_dict(), merged.to_dict()
+    sharded = replay_sharded(trace, layout, CONFIG,
+                             prefetcher=make_prefetcher(layout), n_shards=4)
+    sd, md = single.to_dict(), sharded.to_dict()
     for field in SimStats._SCALAR_FIELDS:
         assert md[field] == sd[field], field
     assert md["prefetch"] == sd["prefetch"]
     assert md == sd
 
 
-def test_merge_is_order_independent(pieces):
-    single, _, parts = pieces
-    want = single.to_dict()
-    for perm in itertools.permutations(parts):
-        assert merge_pieces(list(perm)).to_dict() == want
+@pytest.mark.parametrize("field, drift", [
+    ("demand_misses", 1),
+    ("stall_cycles", 1e-9),
+])
+def test_seam_mismatch_raises(monkeypatch, field, drift):
+    """A non-final shard whose exit stats drift from the next shard's
+    entry stats, in an int or a float field, cannot pass silently."""
+    replay_segment = shard._replay_segment
+
+    def drifted(trace, layout, config, state, start, end):
+        entry, exit_stats = replay_segment(trace, layout, config, state,
+                                           start, end)
+        if start == 0:
+            setattr(exit_stats, field, getattr(exit_stats, field) + drift)
+        return entry, exit_stats
+
+    monkeypatch.setattr(shard, "_replay_segment", drifted)
+    layout = build_layout()
+    with pytest.raises(SimulationError, match="seam"):
+        replay_sharded(build_trace(), layout, CONFIG,
+                       prefetcher=make_prefetcher(layout), n_shards=4)
 
 
-def test_merge_is_associative(pieces):
-    """Any grouping of adjacent combines collapses to the same piece,
-    and merging the collapsed piece equals merging the originals."""
-    single, _, parts = pieces
-    want = single.to_dict()
-    p0, p1, p2, p3 = parts
-    left = combine_pieces(combine_pieces(combine_pieces(p0, p1), p2), p3)
-    right = combine_pieces(p0, combine_pieces(p1, combine_pieces(p2, p3)))
-    inner = combine_pieces(combine_pieces(p0, p1), combine_pieces(p2, p3))
-    for whole in (left, right, inner):
-        assert whole.start == 0 and whole.finalized
-        assert merge_pieces([whole]).to_dict() == want
-    # partial grouping mixed with un-combined pieces merges too
-    assert merge_pieces([combine_pieces(p1, p2), p3, p0]).to_dict() == want
-
-
-def test_combine_rejects_non_adjacent(pieces):
-    _, _, parts = pieces
-    with pytest.raises(SimulationError):
-        combine_pieces(parts[0], parts[2])
-
-
-def test_merge_rejects_gaps(pieces):
-    _, _, parts = pieces
-    with pytest.raises(SimulationError):
-        merge_pieces([parts[0], parts[1], parts[3]])
-
-
-def test_merge_rejects_unfinalized_tail(pieces):
-    _, _, parts = pieces
-    broken = copy.deepcopy(parts)
-    object.__setattr__(broken[-1], "finalized", False)
-    with pytest.raises(SimulationError):
-        merge_pieces(broken)
-
-
-def test_merge_cross_checks_chained_totals(pieces):
-    """A tampered delta cannot merge silently: the delta sum no longer
-    reproduces the final piece's chained total."""
-    _, _, parts = pieces
-    broken = copy.deepcopy(parts)
-    broken[1].stats_after["demand_misses"] += 1
-    with pytest.raises(SimulationError):
-        merge_pieces(broken)
-    broken = copy.deepcopy(parts)
-    for piece in broken[:1]:
-        for row in piece.stats_after["prefetch"].values():
-            row["issued"] += 1
-    with pytest.raises(SimulationError):
-        merge_pieces(broken)
-
-
-def test_merge_requires_pieces():
-    with pytest.raises(SimulationError):
-        merge_pieces([])
+@pytest.mark.parametrize("cuts", [
+    lambda n: [0, 5, 5, n],  # a repeated cut: an empty shard
+    lambda n: [1, n],  # a gap before the first shard
+    lambda n: [0, n - 1],  # a gap after the last shard
+], ids=["repeat", "head-gap", "tail-gap"])
+def test_explicit_boundaries_must_tile_the_trace(cuts):
+    layout = build_layout()
+    trace = build_trace()
+    with pytest.raises(SimulationError, match="boundaries"):
+        replay_sharded(trace, layout, CONFIG,
+                       prefetcher=make_prefetcher(layout),
+                       boundaries=cuts(len(trace)))
 
 
 def test_boundaries_snap_to_switches():
