@@ -87,12 +87,10 @@ class PipelineConfig:
     seed: int = 1234
 
     def key(self, suite_name):
-        e = self.expansion
-        return (
-            f"{suite_name}-s{self.scale}-q{self.quantum_rows}"
-            f"-i{self.instrs_per_pyop}-e{e.call_every_instrs}.{e.pool_size}"
-            f".{e.helpers_per_function}-r{self.seed}"
-        )
+        """Artifact-cache key: a content hash of every field, nested
+        ``expansion`` fields included, as the result cache keys."""
+        return (f"{suite_name}-"
+                f"{config_fingerprint(suite=suite_name, pipeline=self)}")
 
 
 class WorkloadArtifacts:

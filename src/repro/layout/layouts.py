@@ -59,7 +59,7 @@ class AddressMap:
         if not 0.0 <= sequentiality <= 1.0:
             raise LayoutError("sequentiality must be in [0, 1]")
         self.name = name
-        self.instr_scale = instr_scale
+        self.instr_scale = float(instr_scale)
         self.sequentiality = sequentiality
         # integer inflation arithmetic: block index = off * num // den
         self.num = int(round(inflation * 64))
@@ -92,28 +92,28 @@ class AddressMap:
     def translation_table(self):
         """Flat precomputed block -> global line translation.
 
-        Returns ``(table, block_base)`` — two contiguous int64 arrays
-        (buffer-protocol compatible, so the optimized replay core can
-        take zero-copy numpy views) with, for every function ``fid`` and
-        block index ``k < size_lines[fid]``::
+        Returns ``(table, block_base)`` — two Python lists with, for
+        every function ``fid`` and block index ``k < size_lines[fid]``::
 
             table[block_base[fid] + k] == base_line[fid] + perm[fid][k]
 
-        One lookup in ``table`` replaces the per-event
-        ``base_line[fid] + perm[fid][block]`` nested indexing.  Built
-        lazily once per layout (O(total_lines)) and cached.
+        so the lines of an instruction range whose blocks run from
+        ``first`` to ``last`` are the slice
+        ``table[block_base[fid] + first : block_base[fid] + last + 1]``.
+        The optimized replay core compiles every EXEC event to such a
+        span and its kernels slice ``table`` itself — a list, so a slice
+        hands them ints that are already boxed.  Built lazily once per
+        layout (O(total_lines)) and cached, so every compiled image of
+        the layout shares one table.
         """
         cached = self._flat_translation
         if cached is None:
-            block_base = array("q", bytes(8 * len(self.base_line)))
-            table = array("q")
-            cursor = 0
-            for fid, (base, perm) in enumerate(zip(self.base_line, self.perm)):
-                block_base[fid] = cursor
+            table = []
+            block_base = []
+            for base, perm in zip(self.base_line, self.perm):
+                block_base.append(len(table))
                 table.extend([base + block for block in perm])
-                cursor += len(perm)
-            cached = (table, block_base)
-            self._flat_translation = cached
+            cached = self._flat_translation = (table, block_base)
         return cached
 
     def head_extents(self, n_lines):
@@ -129,19 +129,14 @@ class AddressMap:
         folded in here, at table-build time, and the replay core's
         head-prefetch resolution becomes two table lookups plus one
         range scan.  Built lazily once per (layout, ``n_lines``) and
-        cached (``getattr``: layouts unpickled from older artifact
-        caches may lack the cache attribute).
+        cached.
         """
-        cache = getattr(self, "_head_extents", None)
-        if cache is None:
-            cache = self._head_extents = {}
-        ends = cache.get(n_lines)
+        ends = self._head_extents.get(n_lines)
         if ends is None:
-            ends = array("q", [
+            ends = self._head_extents[n_lines] = array("q", [
                 base + (n_lines if n_lines < span else span)
                 for base, span in zip(self.base_line, self.size_lines)
             ])
-            cache[n_lines] = ends
         return ends
 
     def entry_line(self, fid):

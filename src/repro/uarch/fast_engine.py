@@ -10,9 +10,11 @@ removes that per-event work without changing a single observable number:
 
 * **compiled traces** — each (trace, layout) pair is translated once,
   with numpy, into flat parallel arrays: per-event opcodes, pre-scaled
-  instruction counts, spans into one flat list of global line addresses
-  (built with the layout's precomputed translation table), and
-  pre-resolved call-site lines.  Compiled images
+  instruction counts, pre-resolved call-site lines, and for each EXEC
+  event a span of the layout's translation table
+  (:meth:`~repro.layout.layouts.AddressMap.translation_table`), the
+  lines the event touches in fetch order.  The table is built once per
+  layout and is every image's ``lines``.  Compiled images
   are cached per trace object, weakly, so they die with their trace —
   traces are append-only, so an image is reused as long as
   ``len(trace)`` is unchanged — and the work that depends on the trace
@@ -103,14 +105,19 @@ class CompiledTrace:
     * ``ea``/``eb`` — the raw ``a``/``b`` operands (callee/caller fids);
       these three depend on the trace alone, and the compile cache hands
       every layout's image of one trace the same lists,
-    * ``n_scaled`` — EXEC instruction count pre-multiplied by the
-      layout's ``instr_scale`` (float iff ``instr_scale`` is a float,
-      matching the reference engine's arithmetic types),
+    * ``n_scaled`` — EXEC instruction count times the layout's (float)
+      ``instr_scale``, the reference engine's product,
     * ``seg_start``/``seg_end`` — an EXEC event's half-open span into
-      ``lines``,
-    * ``lines`` — flat global line addresses of every EXEC reference,
+      ``lines``, ``block_base[fid] + first_block`` to
+      ``block_base[fid] + last_block + 1``,
     * ``callsite`` — pre-resolved call-site line for CALL events with a
       known caller.
+
+    ``lines`` is not per event: it is the layout's translation table
+    (:meth:`~repro.layout.layouts.AddressMap.translation_table`), the
+    same list in every image of the layout, so
+    ``lines[seg_start[i]:seg_end[i]]`` are the global lines EXEC event
+    ``i`` fetches, in order.
     """
 
     __slots__ = (
@@ -147,13 +154,12 @@ def _compile_for_layout(trace, layout, ops, ea, eb):
     """``compile_trace`` given the trace's :func:`_event_lists`."""
     n = len(trace)
     tbl, bb = layout.translation_table()
-    tbl_np = _np.frombuffer(tbl, dtype=_np.int64)
-    bb_np = _np.frombuffer(bb, dtype=_np.int64)
+    tbl_np = _np.asarray(tbl, dtype=_np.int64)
+    bb_np = _np.asarray(bb, dtype=_np.int64)
     sizes_np = _np.asarray(layout.size_lines, dtype=_np.int64)
     nfuncs = bb_np.shape[0]
     num = layout.num
     den = layout.den
-    instr_scale = layout.instr_scale
 
     kinds = _np.frombuffer(trace.kinds, dtype=_np.int8, count=n)
     a = _np.frombuffer(trace.a, dtype=_np.int64, count=n)
@@ -163,7 +169,7 @@ def _compile_for_layout(trace, layout, ops, ea, eb):
         bad = int(kinds[((kinds < EXEC) | (kinds > SWITCH))][0])
         raise SimulationError(f"unknown trace event kind {bad}")
 
-    # ---- EXEC events: expand offset ranges into global line spans ----
+    # ---- EXEC events: offset ranges -> spans of the layout's table ----
     ex_idx = _np.nonzero(kinds == EXEC)[0]
     fid = a[ex_idx]
     lo = _np.minimum(b[ex_idx], c[ex_idx])
@@ -177,26 +183,14 @@ def _compile_for_layout(trace, layout, ops, ea, eb):
     last_blk = (hi * num) // den
     if ex_idx.size and (last_blk >= sizes_np[fid]).any():
         raise SimulationError("EXEC offset beyond function extent")
-    seg_lens = last_blk - first_blk + 1
-    seg_end_ex = _np.cumsum(seg_lens)
-    seg_start_ex = seg_end_ex - seg_lens
-    total = int(seg_end_ex[-1]) if ex_idx.size else 0
-    flat_idx = _np.repeat(
-        bb_np[fid] + first_blk - seg_start_ex, seg_lens
-    ) + _np.arange(total, dtype=_np.int64)
-    lines_np = tbl_np[flat_idx]
 
-    if isinstance(instr_scale, float):
-        n_scaled_ex = (hi - lo + 1).astype(_np.float64) * instr_scale
-        n_scaled_full = _np.zeros(n, dtype=_np.float64)
-    else:
-        n_scaled_ex = (hi - lo + 1) * instr_scale
-        n_scaled_full = _np.zeros(n, dtype=_np.int64)
-    n_scaled_full[ex_idx] = n_scaled_ex
+    n_scaled_full = _np.zeros(n, dtype=_np.float64)
+    n_scaled_full[ex_idx] = (hi - lo + 1) * layout.instr_scale
+    fid_base = bb_np[fid]
     seg_start_full = _np.zeros(n, dtype=_np.int64)
     seg_end_full = _np.zeros(n, dtype=_np.int64)
-    seg_start_full[ex_idx] = seg_start_ex
-    seg_end_full[ex_idx] = seg_end_ex
+    seg_start_full[ex_idx] = fid_base + first_blk
+    seg_end_full[ex_idx] = fid_base + last_blk + 1
 
     # ---- CALL events: pre-resolve the call-site line ----
     callsite_full = _np.zeros(n, dtype=_np.int64)
@@ -223,7 +217,7 @@ def _compile_for_layout(trace, layout, ops, ea, eb):
         n_scaled=n_scaled_full.tolist(),
         seg_start=seg_start_full.tolist(),
         seg_end=seg_end_full.tolist(),
-        lines=lines_np.tolist(),
+        lines=tbl,
         callsite=callsite_full.tolist(),
     )
 

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.harness.runner import ExperimentRunner, PipelineConfig, _make_prefetcher
 from repro.core import CgpPrefetcher
+from repro.instrument.expand import ExpansionConfig
 from repro.uarch.prefetch import NextNLinePrefetcher, RunAheadNLPrefetcher
 
 
@@ -88,4 +89,25 @@ def test_pipeline_key_distinguishes_parameters():
     a = PipelineConfig(scale=0.1).key("wisc-prof")
     b = PipelineConfig(scale=0.2).key("wisc-prof")
     c = PipelineConfig(scale=0.1, quantum_rows=4).key("wisc-prof")
-    assert len({a, b, c}) == 3
+    d = PipelineConfig(
+        scale=0.1, expansion=ExpansionConfig(helper_max_instrs=24)
+    ).key("wisc-prof")
+    assert len({a, b, c, d}) == 4
+
+
+def test_shared_cache_dir_keeps_expansion_variants_apart(tmp_path):
+    """Two pipelines that differ only in the runtime library's helper
+    sizes must not load each other's cached trace."""
+    scales = {"wisc-prof": 0.05}
+    variant = PipelineConfig(expansion=ExpansionConfig(helper_max_instrs=24))
+    default = ExperimentRunner(scales=scales, cache_dir=str(tmp_path))
+    shared = ExperimentRunner(pipeline=variant, scales=scales,
+                              cache_dir=str(tmp_path))
+    fresh = ExperimentRunner(pipeline=variant, scales=scales)
+    default_trace = default.artifacts("wisc-prof").trace
+    shared_trace = shared.artifacts("wisc-prof").trace
+    fresh_trace = fresh.artifacts("wisc-prof").trace
+    assert (shared_trace.total_instructions()
+            != default_trace.total_instructions())
+    for field in ("kinds", "a", "b", "c"):
+        assert getattr(shared_trace, field) == getattr(fresh_trace, field)
