@@ -14,6 +14,8 @@ The two programs' code images are concatenated into one address space
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.errors import TraceError
 from repro.harness.experiments import ExperimentResult
 from repro.instrument.codeimage import FrozenImage
@@ -96,13 +98,16 @@ def merge_with_background(db_trace, bg_trace, bg_tid, quantum=20000,
                           call_overhead=2):
     """Time-share a DBMS trace with a background program's trace.
 
-    DB traces already contain SWITCH events (the cooperative scheduler
-    interleaves queries inside one trace), so :func:`interleave` refuses
-    them.  This merge round-robins quantum-sized bursts instead: DB
-    bursts are copied verbatim — internal switches included — and each
-    one is preceded by a SWITCH back to whichever DB thread was running
-    when the previous burst was cut; background bursts run as thread
-    ``bg_tid``, which must not collide with any DB thread id.
+    The DBMS tracer emits no SWITCH events (the cooperative scheduler
+    interleaves queries inside one trace without markers), but a DB
+    trace may still carry some — one merged by :func:`interleave`, say
+    — and :func:`interleave` refuses such input.  This merge
+    round-robins quantum-sized bursts instead: DB bursts are copied
+    verbatim, any internal switches included, and each one is preceded
+    by a SWITCH back to whichever DB thread was running when the
+    previous burst was cut (thread 0 until a DB switch names another);
+    background bursts run as thread ``bg_tid``, which must not collide
+    with any DB thread id.
     """
     merged = Trace()
     cursors = [0, 0]
@@ -153,8 +158,11 @@ def database_mix(runner, suite="serving", benchmark="gcc", quantum=20000,
         benchmark, target_instructions=target_instructions
     )
     combined_image, offset = combine_images(db_image, bench_image)
-    db_tids = {a for kind, a, _b, _c in db_trace.events() if kind == SWITCH}
-    bg_tid = max(db_tids, default=0) + 1
+    n = len(db_trace)
+    switches = (
+        _np.frombuffer(db_trace.kinds, dtype=_np.int8, count=n) == SWITCH)
+    db_tids = _np.frombuffer(db_trace.a, dtype=_np.int64, count=n)[switches]
+    bg_tid = int(db_tids.max()) + 1 if db_tids.size else 1
     mixed = merge_with_background(
         db_trace, shift_fids(bench_trace, offset), bg_tid, quantum=quantum
     )
@@ -168,8 +176,8 @@ def database_mix(runner, suite="serving", benchmark="gcc", quantum=20000,
         ["misses", "miss_rate", "mpki"],
     )
 
-    def run(image, trace, label):
-        layout = om_layout(image, profile_of(trace), instr_scale=1.0)
+    def run(image, trace, profile, label):
+        layout = om_layout(image, profile, instr_scale=1.0)
         stats = simulate(trace, layout, sim_config)
         result.add_row(label, {
             "misses": stats.demand_misses,
@@ -178,7 +186,9 @@ def database_mix(runner, suite="serving", benchmark="gcc", quantum=20000,
         })
         return stats
 
-    run(db_image, db_trace, f"{suite} solo")
-    run(bench_image, bench_trace, f"{benchmark} solo")
-    run(combined_image, mixed, "time-shared")
+    # the runner built the DB trace's profile with its artifacts
+    run(db_image, db_trace, art.profile, f"{suite} solo")
+    run(bench_image, bench_trace, profile_of(bench_trace),
+        f"{benchmark} solo")
+    run(combined_image, mixed, profile_of(mixed), "time-shared")
     return result

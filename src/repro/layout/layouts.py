@@ -100,11 +100,11 @@ class AddressMap:
         so the lines of an instruction range whose blocks run from
         ``first`` to ``last`` are the slice
         ``table[block_base[fid] + first : block_base[fid] + last + 1]``.
-        The optimized replay core compiles every EXEC event to such a
-        span and its kernels slice ``table`` itself — a list, so a slice
-        hands them ints that are already boxed.  Built lazily once per
-        layout (O(total_lines)) and cached, so every compiled image of
-        the layout shares one table.
+        The optimized replay core compiles each distinct EXEC record
+        to such a span, copied into the record as a tuple of the
+        table's ints, which are already boxed.  Built lazily once per
+        layout (O(total_lines)) and cached, so every compile for the
+        layout reads one table.
         """
         cached = self._flat_translation
         if cached is None:

@@ -8,18 +8,20 @@ L1 hit — through the full ``_access`` machinery (arrival delivery, LRU
 lookup, untouched/in-flight bookkeeping, prefetcher hook).  This module
 removes that per-event work without changing a single observable number:
 
-* **compiled traces** — each (trace, layout) pair is translated once,
-  with numpy, into flat parallel arrays: per-event opcodes, pre-scaled
-  instruction counts, pre-resolved call-site lines, and for each EXEC
-  event a span of the layout's translation table
-  (:meth:`~repro.layout.layouts.AddressMap.translation_table`), the
-  lines the event touches in fetch order.  The table is built once per
-  layout and is every image's ``lines``.  Compiled images
-  are cached per trace object, weakly, so they die with their trace —
-  traces are append-only, so an image is reused as long as
-  ``len(trace)`` is unchanged — and the work that depends on the trace
-  alone (the opcode/operand lists) is done once per trace and shared
-  read-only by every layout's image.
+* **compiled traces** — a trace repeats a small vocabulary of distinct
+  ``(kind, a, b, c)`` events, so it is symbolized once: each event
+  becomes an index into that vocabulary.  Each (trace, layout) pair
+  then translates, with numpy, only the vocabulary, into one record per
+  distinct event — opcode, operands, pre-scaled instruction count,
+  pre-resolved call-site line, and for an EXEC event the span of the
+  layout's translation table
+  (:meth:`~repro.layout.layouts.AddressMap.translation_table`) it
+  touches, in fetch order — and the image is one list holding each
+  event's shared record.  Compiled images are cached per trace object,
+  weakly, so they die with their trace — traces are append-only, so an
+  image is reused as long as ``len(trace)`` is unchanged — and the
+  symbolization is done once per trace and shared by every layout's
+  image.
 * **an O(1) residency index** — a bytearray mirror of the L1 content
   replaces the associative ``contains``/``lookup`` scans on the hot
   paths.  Squashed prefetches — the overwhelming majority under NL/CGP
@@ -74,6 +76,7 @@ from __future__ import annotations
 import weakref
 from collections import defaultdict
 from heapq import heappop, heappush
+from itertools import islice
 
 import numpy as _np
 
@@ -91,68 +94,82 @@ from repro.uarch.prefetch.nl import NextNLinePrefetcher, RunAheadNLPrefetcher
 OP_EXEC = EXEC
 OP_CALL = CALL
 OP_RET = RET
-OP_SWITCH = SWITCH
 
 
 class CompiledTrace:
-    """A trace pre-translated for one layout.
+    """A trace pre-translated for one layout: one shared record per
+    distinct event, and one reference per event.
 
-    Parallel per-event lists (plain Python lists — CPython indexes them
-    faster than numpy scalars, and their elements are exact int/float,
-    which the bit-identical arithmetic contract requires):
+    ``records[i]`` is event ``i``'s record, the tuple
+    ``(op, a, b, n_scaled, span, callsite)``:
 
-    * ``ops`` — opcode per event (``OP_*``),
-    * ``ea``/``eb`` — the raw ``a``/``b`` operands (callee/caller fids);
-      these three depend on the trace alone, and the compile cache hands
-      every layout's image of one trace the same lists,
+    * ``op`` — the opcode (``OP_*``); ``a``/``b`` — the raw operands
+      (callee/caller fids),
     * ``n_scaled`` — EXEC instruction count times the layout's (float)
-      ``instr_scale``, the reference engine's product,
-    * ``seg_start``/``seg_end`` — an EXEC event's half-open span into
-      ``lines``, ``block_base[fid] + first_block`` to
-      ``block_base[fid] + last_block + 1``,
+      ``instr_scale``, the reference engine's product (0.0 otherwise),
+    * ``span`` — for EXEC, the tuple of global lines the event fetches,
+      in order: ``table[block_base[fid] + first_block:block_base[fid] +
+      last_block + 1]`` of the layout's translation table
+      (:meth:`~repro.layout.layouts.AddressMap.translation_table`);
+      ``()`` otherwise,
     * ``callsite`` — pre-resolved call-site line for CALL events with a
-      known caller.
+      known caller (0 otherwise).
 
-    ``lines`` is not per event: it is the layout's translation table
-    (:meth:`~repro.layout.layouts.AddressMap.translation_table`), the
-    same list in every image of the layout, so
-    ``lines[seg_start[i]:seg_end[i]]`` are the global lines EXEC event
-    ``i`` fetches, in order.
+    Events with equal ``(kind, a, b, c)`` share one record object, so
+    the image is one list reference per event plus one record per
+    distinct event (``nl-large``'s 399,125 events hold 5,558).  Fields
+    are exact Python int/float, which the bit-identical arithmetic
+    contract requires.
     """
 
-    __slots__ = (
-        "n_events", "ops", "ea", "eb", "n_scaled",
-        "seg_start", "seg_end", "lines", "callsite", "__weakref__",
-    )
+    __slots__ = ("n_events", "records", "__weakref__")
 
-    def __init__(self, n_events, ops, ea, eb, n_scaled, seg_start,
-                 seg_end, lines, callsite):
+    def __init__(self, n_events, records):
         self.n_events = n_events
-        self.ops = ops
-        self.ea = ea
-        self.eb = eb
-        self.n_scaled = n_scaled
-        self.seg_start = seg_start
-        self.seg_end = seg_end
-        self.lines = lines
-        self.callsite = callsite
+        self.records = records
 
 
 def compile_trace(trace, layout):
     """Translate ``trace`` for ``layout`` (no caching; see ``_compiled``)."""
-    return _compile_for_layout(trace, layout, *_event_lists(trace))
+    return _compile_for_layout(layout, *_symbolize(trace))
 
 
-def _event_lists(trace):
+def _symbolize(trace):
     """The part of a compiled image that depends on the trace alone:
-    the ``ops``/``ea``/``eb`` lists, which every layout's image of one
-    trace can share read-only."""
-    return trace.kinds.tolist(), trace.a.tolist(), trace.b.tolist()
+    its vocabulary — the distinct ``(kind, a, b, c)`` records, as four
+    numpy columns in ``(kind, a, b, c)`` order — and ``inverse``, each
+    event's index into them.
 
-
-def _compile_for_layout(trace, layout, ops, ea, eb):
-    """``compile_trace`` given the trace's :func:`_event_lists`."""
+    One ``np.lexsort`` of the four columns groups equal events; it is
+    stable, so each group's first event is its first occurrence."""
     n = len(trace)
+    cols = (
+        _np.frombuffer(trace.kinds, dtype=_np.int8, count=n),
+        _np.frombuffer(trace.a, dtype=_np.int64, count=n),
+        _np.frombuffer(trace.b, dtype=_np.int64, count=n),
+        _np.frombuffer(trace.c, dtype=_np.int64, count=n),
+    )
+    order = _np.lexsort(cols[::-1])  # the last key, ``kind``, is primary
+    fresh = _np.zeros(n, dtype=bool)  # first event of its group, in order
+    fresh[:1] = True
+    for col in cols:
+        ordered = col[order]
+        fresh[1:] |= ordered[1:] != ordered[:-1]
+    inverse = _np.empty(n, dtype=_np.intp)
+    inverse[order] = _np.cumsum(fresh) - 1
+    first = order[fresh]
+    # fancy indexing copies, so no view of the trace's arrays outlives
+    # this call: the compile cache keeps the result, and an array with
+    # a view exported cannot grow
+    return tuple(col[first] for col in cols), inverse
+
+
+def _compile_for_layout(layout, vocab, inverse):
+    """``compile_trace`` given the trace's :func:`_symbolize`: translate
+    and check each distinct record once, then gather one reference per
+    event."""
+    kinds, a, b, c = vocab
+    nv = kinds.shape[0]
     tbl, bb = layout.translation_table()
     tbl_np = _np.asarray(tbl, dtype=_np.int64)
     bb_np = _np.asarray(bb, dtype=_np.int64)
@@ -161,15 +178,11 @@ def _compile_for_layout(trace, layout, ops, ea, eb):
     num = layout.num
     den = layout.den
 
-    kinds = _np.frombuffer(trace.kinds, dtype=_np.int8, count=n)
-    a = _np.frombuffer(trace.a, dtype=_np.int64, count=n)
-    b = _np.frombuffer(trace.b, dtype=_np.int64, count=n)
-    c = _np.frombuffer(trace.c, dtype=_np.int64, count=n)
     if ((kinds < EXEC) | (kinds > SWITCH)).any():
         bad = int(kinds[((kinds < EXEC) | (kinds > SWITCH))][0])
         raise SimulationError(f"unknown trace event kind {bad}")
 
-    # ---- EXEC events: offset ranges -> spans of the layout's table ----
+    # ---- EXEC records: offset ranges -> spans of the layout's table ----
     ex_idx = _np.nonzero(kinds == EXEC)[0]
     fid = a[ex_idx]
     lo = _np.minimum(b[ex_idx], c[ex_idx])
@@ -184,16 +197,16 @@ def _compile_for_layout(trace, layout, ops, ea, eb):
     if ex_idx.size and (last_blk >= sizes_np[fid]).any():
         raise SimulationError("EXEC offset beyond function extent")
 
-    n_scaled_full = _np.zeros(n, dtype=_np.float64)
-    n_scaled_full[ex_idx] = (hi - lo + 1) * layout.instr_scale
+    n_scaled = _np.zeros(nv, dtype=_np.float64)
+    n_scaled[ex_idx] = (hi - lo + 1) * layout.instr_scale
     fid_base = bb_np[fid]
-    seg_start_full = _np.zeros(n, dtype=_np.int64)
-    seg_end_full = _np.zeros(n, dtype=_np.int64)
-    seg_start_full[ex_idx] = fid_base + first_blk
-    seg_end_full[ex_idx] = fid_base + last_blk + 1
+    spans = [()] * nv
+    for v, s, e in zip(ex_idx.tolist(), (fid_base + first_blk).tolist(),
+                       (fid_base + last_blk + 1).tolist()):
+        spans[v] = tuple(tbl[s:e])
 
-    # ---- CALL events: pre-resolve the call-site line ----
-    callsite_full = _np.zeros(n, dtype=_np.int64)
+    # ---- CALL records: pre-resolve the call-site line ----
+    callsite = _np.zeros(nv, dtype=_np.int64)
     call_idx = _np.nonzero(kinds == CALL)[0]
     callers = b[call_idx]
     known = call_idx[callers >= 0]
@@ -207,19 +220,15 @@ def _compile_for_layout(trace, layout, ops, ea, eb):
         cs_blk = (cs_off * num) // den
         if (cs_blk >= sizes_np[kc]).any():
             raise SimulationError("call-site offset beyond function extent")
-        callsite_full[known] = tbl_np[bb_np[kc] + cs_blk]
+        callsite[known] = tbl_np[bb_np[kc] + cs_blk]
 
-    return CompiledTrace(
-        n_events=n,
-        ops=ops,
-        ea=ea,
-        eb=eb,
-        n_scaled=n_scaled_full.tolist(),
-        seg_start=seg_start_full.tolist(),
-        seg_end=seg_end_full.tolist(),
-        lines=tbl,
-        callsite=callsite_full.tolist(),
-    )
+    records = _np.empty(nv, dtype=object)
+    for v, record in enumerate(zip(kinds.tolist(), a.tolist(), b.tolist(),
+                                   n_scaled.tolist(), spans,
+                                   callsite.tolist())):
+        records[v] = record
+    # one reference per event, gathered in C by an object-array take
+    return CompiledTrace(len(inverse), records[inverse].tolist())
 
 
 class _TraceEntry:
@@ -227,15 +236,16 @@ class _TraceEntry:
     ``n_events`` events (traces are append-only).
 
     It holds the trace-side work, done once for every layout: the
-    shared :func:`_event_lists`, built by the first compile.
-    ``images`` lists the ``(layout, CompiledTrace)`` pairs served so far.
+    :func:`_symbolize` vocabulary and inverse, built by the first
+    compile.  ``images`` lists the ``(layout, CompiledTrace)`` pairs
+    served so far.
     """
 
-    __slots__ = ("n_events", "events", "images")
+    __slots__ = ("n_events", "symbols", "images")
 
     def __init__(self, trace):
         self.n_events = len(trace)
-        self.events = None
+        self.symbols = None
         self.images = []
 
 
@@ -265,9 +275,9 @@ def _compiled(trace, layout):
     for cached_layout, compiled in entry.images:
         if cached_layout is layout:
             return compiled
-    if entry.events is None:
-        entry.events = _event_lists(trace)
-    compiled = _compile_for_layout(trace, layout, *entry.events)
+    if entry.symbols is None:
+        entry.symbols = _symbolize(trace)
+    compiled = _compile_for_layout(layout, *entry.symbols)
     entry.images.append((layout, compiled))
     return compiled
 
@@ -457,14 +467,7 @@ class FastFetchEngine(FetchEngine):
         m_l2h = 0
         m_l2m = 0
 
-        ops = compiled.ops
-        ea = compiled.ea
-        eb = compiled.eb
-        n_scaled = compiled.n_scaled
-        seg_start = compiled.seg_start
-        seg_end = compiled.seg_end
-        lines = compiled.lines
-        callsite = compiled.callsite
+        records = compiled.records
 
         # local accumulators: floats replicate the reference engine's
         # operation order exactly; integer deltas are flushed at the end
@@ -523,7 +526,7 @@ class FastFetchEngine(FetchEngine):
             # no line accesses and calls no hook), so the in-flight
             # map, the arrival heap, and the untouched index stay empty
             # for the whole run, and every miss is a demand miss.
-            for i in range(ev0, ev1):
+            for op, a, b, nf, span, cs in islice(records, ev0, ev1):
                 if obs and instructions >= s_next:
                     sampler.record(
                         instructions, cycle,
@@ -532,16 +535,14 @@ class FastFetchEngine(FetchEngine):
                         sprefetch, s_cghc,
                     )
                     s_next = sampler.next_at
-                op = ops[i]
                 if op == OP_EXEC:
-                    nf = n_scaled[i]
                     d = nf * cpi
                     instructions += nf
                     cycle += d
                     fetch_cycles += d
                     if perfect:
                         continue
-                    for line in lines[seg_start[i]:seg_end[i]]:
+                    for line in span:
                         line_accesses += 1
                         if state[line]:
                             hit_count += 1
@@ -621,11 +622,11 @@ class FastFetchEngine(FetchEngine):
                         mispredicted += 1
                         cycle += penalty
                         mispredict_cycles += penalty
-                    caller = eb[i]
+                    caller = b
                     if caller >= 0:
                         # inlined RAS push (no hook ever sees entries,
                         # so a plain tuple stands in for the entry)
-                        rbuf[rtop] = (callsite[i], base[caller], caller)
+                        rbuf[rtop] = (cs, base[caller], caller)
                         rtop += 1
                         if rtop == rdepth:
                             rtop = 0
@@ -649,7 +650,7 @@ class FastFetchEngine(FetchEngine):
                         rcount -= 1
                         entry = rbuf[rtop]
                         rbuf[rtop] = None
-                    actual_caller = eb[i]
+                    actual_caller = b
                     if not (
                         entry is not None
                         and (
@@ -659,7 +660,7 @@ class FastFetchEngine(FetchEngine):
                     ):
                         cycle += penalty
                         mispredict_cycles += penalty
-                # OP_SWITCH: hardware state is shared across threads
+                # SWITCH: hardware state is shared across threads
         else:
             # ---- general kernel ----
             # Every supported prefetcher exports ``nl_component`` (NL
@@ -734,7 +735,7 @@ class FastFetchEngine(FetchEngine):
             for fl, fo in untouched.items():
                 u_ps[fl] = sprefetch[fo]
 
-            for i in range(ev0, ev1):
+            for op, a, b, nf, span, cs in islice(records, ev0, ev1):
                 if obs and instructions >= s_next:
                     sampler.record(
                         instructions, cycle,
@@ -743,14 +744,12 @@ class FastFetchEngine(FetchEngine):
                         sprefetch, s_cghc,
                     )
                     s_next = sampler.next_at
-                op = ops[i]
                 if op == OP_EXEC:
-                    nf = n_scaled[i]
                     d = nf * cpi
                     instructions += nf
                     cycle += d
                     fetch_cycles += d
-                    for line in lines[seg_start[i]:seg_end[i]]:
+                    for line in span:
                         # ---- inlined reference _access ----
                         if cycle >= next_due:
                             while arrivals and arrivals[0][0] <= cycle:
@@ -1073,11 +1072,11 @@ class FastFetchEngine(FetchEngine):
                         mispredicted += 1
                         cycle += penalty
                         mispredict_cycles += penalty
-                    caller = eb[i]
+                    caller = b
                     if caller >= 0:
                         # inlined RAS push (no hook ever sees entries,
                         # so a plain tuple stands in for the entry)
-                        rbuf[rtop] = (callsite[i], base[caller], caller)
+                        rbuf[rtop] = (cs, base[caller], caller)
                         rtop += 1
                         if rtop == rdepth:
                             rtop = 0
@@ -1088,7 +1087,7 @@ class FastFetchEngine(FetchEngine):
                     if not (cgp_inline and predicted):
                         continue
                     # ---- inlined CgpPrefetcher.on_call ----
-                    callee = ea[i]
+                    callee = a
                     # prefetch access keyed by the target
                     tag = base[callee]
                     cs1 = cg_set1[callee]
@@ -1145,7 +1144,7 @@ class FastFetchEngine(FetchEngine):
                         rcount -= 1
                         entry = rbuf[rtop]
                         rbuf[rtop] = None
-                    actual_caller = eb[i]
+                    actual_caller = b
                     if not (
                         entry is not None
                         and (
@@ -1183,7 +1182,7 @@ class FastFetchEngine(FetchEngine):
                     else:
                         head = -1
                     # update access keyed by the returner
-                    ret_fid = ea[i]
+                    ret_fid = a
                     tag = base[ret_fid]
                     cs1 = cg_set1[ret_fid]
                     if f1_tag[cs1] == tag:
@@ -1197,7 +1196,7 @@ class FastFetchEngine(FetchEngine):
                     # inlined CghcEntry.reset_index
                     f1_idx[cs1] = 1
                 else:
-                    # OP_SWITCH: hardware state is shared across threads
+                    # SWITCH: hardware state is shared across threads
                     continue
                 # ---- CGHC-triggered head prefetch (call or return) ----
                 # The walk runs after the caller/returner update above:

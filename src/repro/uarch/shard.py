@@ -36,8 +36,11 @@ from __future__ import annotations
 import pickle
 from functools import partial
 
+import numpy as _np
+
 from repro.errors import SimulationError
-from repro.uarch.fast_engine import OP_SWITCH, FastFetchEngine, _compiled
+from repro.instrument.trace import SWITCH
+from repro.uarch.fast_engine import FastFetchEngine
 
 #: Every mutable attribute a ``FastFetchEngine`` carries across events.
 #: ``layout`` and ``config`` are deliberately absent: they are immutable
@@ -78,7 +81,7 @@ class EngineState:
         return engine
 
 
-def shard_boundaries(trace, layout, n_shards):
+def shard_boundaries(trace, n_shards):
     """Cut points ``[0, b1, ..., n_events]`` for ``n_shards`` segments.
 
     Prefers ``SWITCH`` events (quantum boundaries in multiprogrammed
@@ -89,17 +92,17 @@ def shard_boundaries(trace, layout, n_shards):
     """
     if n_shards < 1:
         raise SimulationError("n_shards must be >= 1")
-    compiled = _compiled(trace, layout)
-    n = compiled.n_events
+    n = len(trace)
     if n == 0 or n_shards == 1:
         return [0, n]
-    ops = compiled.ops
-    switches = [i for i in range(n) if ops[i] == OP_SWITCH]
+    switches = _np.flatnonzero(
+        _np.frombuffer(trace.kinds, dtype=_np.int8, count=n) == SWITCH)
     cuts = []
     for k in range(1, n_shards):
         target = n * k // n_shards
-        if switches:
-            cut = min(switches, key=lambda i: abs(i - target))
+        if switches.size:
+            # the first of the nearest switches, as ``min`` would pick
+            cut = int(switches[_np.abs(switches - target).argmin()])
         else:
             cut = target
         cuts.append(cut)
@@ -152,10 +155,10 @@ def replay_sharded(trace, layout, config, prefetcher=None, seed=12345,
     ``n_shards``.  Any event index is a valid cut.
     """
     if boundaries is None:
-        boundaries = shard_boundaries(trace, layout, n_shards)
+        boundaries = shard_boundaries(trace, n_shards)
     else:
         boundaries = list(boundaries)
-        n = _compiled(trace, layout).n_events
+        n = len(trace)
         if n == 0 and boundaries in ([0], [0, 0]):
             boundaries = [0, 0]  # one empty segment, as shard_boundaries cuts
         elif (boundaries[0] != 0 or boundaries[-1] != n

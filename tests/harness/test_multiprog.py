@@ -1,8 +1,19 @@
 """Multiprogrammed mix machinery."""
 
-from repro.harness.multiprog import combine_images, multiprogram_mix, shift_fids
+from types import SimpleNamespace
+
+from repro.harness import multiprog
+from repro.harness.multiprog import (
+    combine_images,
+    database_mix,
+    merge_with_background,
+    multiprogram_mix,
+    shift_fids,
+)
 from repro.instrument.codeimage import CodeImage
-from repro.instrument.trace import CALL, EXEC, RET, Trace
+from repro.instrument.trace import CALL, EXEC, RET, SWITCH, Trace
+from repro.layout import om_layout, profile_of
+from repro.uarch import TABLE_1, simulate
 from repro.workloads import cpu2000
 
 
@@ -55,3 +66,64 @@ def test_mix_with_small_quantum_is_worse():
         fine.row("time-shared")["misses"]
         >= coarse.row("time-shared")["misses"]
     )
+
+
+def per_event_database_mix_rows(runner, suite, benchmark,
+                                target_instructions):
+    """``database_mix``'s rows the per-event way: every run lays out
+    from a fresh ``profile_of`` of its own trace, and the DB thread ids
+    come from a walk over the events."""
+    art = runner.artifacts(suite)
+    bench_image, bench_trace = cpu2000.build_benchmark(
+        benchmark, target_instructions=target_instructions)
+    combined_image, offset = combine_images(art.image, bench_image)
+    db_tids = {a for kind, a, _b, _c in art.trace.events() if kind == SWITCH}
+    mixed = merge_with_background(art.trace, shift_fids(bench_trace, offset),
+                                  max(db_tids, default=0) + 1)
+    rows = []
+    for image, trace in ((art.image, art.trace), (bench_image, bench_trace),
+                         (combined_image, mixed)):
+        layout = om_layout(image, profile_of(trace), instr_scale=1.0)
+        stats = simulate(trace, layout, TABLE_1)
+        rows.append({"misses": stats.demand_misses,
+                     "miss_rate": stats.miss_rate, "mpki": stats.mpki})
+    return rows
+
+
+def test_database_mix_lays_out_the_db_run_from_the_artifacts_profile(
+        small_runner, monkeypatch):
+    db_trace = small_runner.artifacts("wisc-prof").trace
+    expected = per_event_database_mix_rows(small_runner, "wisc-prof", "gcc",
+                                           200_000)
+    profiled = []
+
+    def spy(*traces):
+        profiled.extend(traces)
+        return profile_of(*traces)
+
+    monkeypatch.setattr(multiprog, "profile_of", spy)
+    result = database_mix(small_runner, suite="wisc-prof", benchmark="gcc",
+                          target_instructions=200_000)
+    assert [row for _label, row in result.rows] == expected
+    assert len(profiled) == 2
+    assert all(trace is not db_trace for trace in profiled)
+
+
+def test_database_mix_background_thread_clears_the_db_threads(
+        prof_artifacts, monkeypatch):
+    trace = Trace()
+    for tid in (3, 9, 4):
+        trace.add_switch(tid)
+        trace.extend(prof_artifacts.trace)
+    runner = SimpleNamespace(artifacts=lambda _suite: SimpleNamespace(
+        image=prof_artifacts.image, trace=trace, profile=profile_of(trace)))
+    tids = []
+
+    def spy(db_trace, bg_trace, bg_tid, **kwargs):
+        tids.append(bg_tid)
+        return merge_with_background(db_trace, bg_trace, bg_tid, **kwargs)
+
+    monkeypatch.setattr(multiprog, "merge_with_background", spy)
+    database_mix(runner, suite="wisc-prof", benchmark="gcc",
+                 target_instructions=100_000)
+    assert tids == [10]

@@ -79,7 +79,7 @@ def build_trace(n=240, switches=False):
 def test_four_shards_equal_single_process_exactly():
     layout = build_layout()
     trace = build_trace()
-    assert len(shard_boundaries(trace, layout, 4)) == 5
+    assert len(shard_boundaries(trace, 4)) == 5
     single = simulate(trace, layout, CONFIG,
                       prefetcher=make_prefetcher(layout), engine="fast")
     sharded = replay_sharded(trace, layout, CONFIG,
@@ -129,23 +129,27 @@ def test_explicit_boundaries_must_tile_the_trace(cuts):
 
 
 def test_boundaries_snap_to_switches():
-    layout = build_layout()
     trace = build_trace(switches=True)
     switch_positions = {
         i for i, kind in enumerate(trace.kinds) if kind == SWITCH
     }
     assert switch_positions  # the trace really is multiprogrammed
-    boundaries = shard_boundaries(trace, layout, 4)
+    boundaries = shard_boundaries(trace, 4)
     assert boundaries[0] == 0 and boundaries[-1] == len(trace)
     for cut in boundaries[1:-1]:
         assert cut in switch_positions
+    # each cut is the first of the switches nearest its quantile
+    n = len(trace)
+    ordered = sorted(switch_positions)
+    nearest = [min(ordered, key=lambda i: abs(i - n * k // 4))
+               for k in (1, 2, 3)]
+    assert boundaries == [0] + sorted(set(nearest) - {0, n}) + [n]
 
 
 def test_boundaries_even_split_without_switches():
-    layout = build_layout()
     trace = build_trace(switches=False)
     n = len(trace)
-    assert shard_boundaries(trace, layout, 4) == [
+    assert shard_boundaries(trace, 4) == [
         0, n // 4, n * 2 // 4, n * 3 // 4, n]
 
 
