@@ -3,7 +3,8 @@
 #   pytest benchmarks/ --benchmark-only | tee bench_output.txt
 # but split so each chunk stays well under a 10-minute watchdog.
 set -u
-cd /root/repo
+# run from the repository that holds this script
+cd "$(dirname "${BASH_SOURCE[0]}")/.." || exit 1
 : > bench_output.txt
 # Engine telemetry: live per-cell progress on the console and a JSONL
 # run journal (wall time, worker id, cache hit/miss per simulation).

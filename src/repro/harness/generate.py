@@ -114,13 +114,10 @@ engine choice can never change a number in this document.  Select
 engines explicitly with `simulate(..., engine="reference"|"fast")` or
 the `REPRO_SIM_ENGINE` environment variable.
 
-Throughput on the pinned fig4 benchmark grid (wisc-prof, six cells) is
-measured by `PYTHONPATH=src python scripts/bench_sim.py --out
-BENCH_sim.json`; the committed `BENCH_sim.json` records per-cell wall
-time, events/second for both engines, and the per-phase breakdown.  CI
-runs `scripts/bench_sim.py --check BENCH_sim.json`, which fails on a
->25% regression of the fast/reference throughput ratio (machine speed
-cancels out of the ratio).
+Replay speed is gated on the pinned fig4 benchmark grid (wisc-prof,
+six cells): `PYTHONPATH=src python scripts/perf_gate.py` times both
+engines in one process, so machine speed cancels out of their ratio,
+and CI fails when reference over fast time falls below 1.83x.
 """
 
 

@@ -20,7 +20,6 @@ Journal record kinds (the ``event`` field):
   observability layer (see :mod:`repro.obsv.interval`)
 * ``workload-build`` — a suite was traced from scratch (cache miss),
   with the buffer pool's access statistics for the build
-* ``bench`` — one ``scripts/bench_sim.py`` phase timing
 
 All events additionally carry ``ts`` (UNIX seconds), ``pid`` (the
 writer, i.e. the coordinating process), and ``schema_version`` so

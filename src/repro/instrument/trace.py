@@ -120,6 +120,16 @@ class Trace:
         """Yield (kind, a, b, c) tuples."""
         return zip(self.kinds, self.a, self.b, self.c)
 
+    def columns(self):
+        """Zero-copy numpy views ``(kinds, a, b, c)`` of the event
+        arrays.  The trace cannot grow while a view is alive."""
+        return (
+            _np.frombuffer(self.kinds, dtype=_np.int8),
+            _np.frombuffer(self.a, dtype=_np.int64),
+            _np.frombuffer(self.b, dtype=_np.int64),
+            _np.frombuffer(self.c, dtype=_np.int64),
+        )
+
     def _per_kind(self):
         """Event counts indexed by kind (one ``bincount`` pass)."""
         kinds = _np.frombuffer(self.kinds, dtype=_np.uint8)

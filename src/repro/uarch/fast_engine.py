@@ -81,12 +81,13 @@ from itertools import islice
 import numpy as _np
 
 from repro.errors import SimulationError
-from repro.instrument.trace import CALL, EXEC, RET, SWITCH
+from repro.instrument.trace import CALL, EXEC, RET
 from repro.uarch.fetch_engine import (
     FetchEngine,
     _LCG_ADD,
     _LCG_MASK,
     _LCG_MULT,
+    check_events,
 )
 from repro.uarch.prefetch.base import Prefetcher
 from repro.uarch.prefetch.nl import NextNLinePrefetcher, RunAheadNLPrefetcher
@@ -143,12 +144,7 @@ def _symbolize(trace):
     One ``np.lexsort`` of the four columns groups equal events; it is
     stable, so each group's first event is its first occurrence."""
     n = len(trace)
-    cols = (
-        _np.frombuffer(trace.kinds, dtype=_np.int8, count=n),
-        _np.frombuffer(trace.a, dtype=_np.int64, count=n),
-        _np.frombuffer(trace.b, dtype=_np.int64, count=n),
-        _np.frombuffer(trace.c, dtype=_np.int64, count=n),
-    )
+    cols = trace.columns()
     order = _np.lexsort(cols[::-1])  # the last key, ``kind``, is primary
     fresh = _np.zeros(n, dtype=bool)  # first event of its group, in order
     fresh[:1] = True
@@ -165,62 +161,35 @@ def _symbolize(trace):
 
 
 def _compile_for_layout(layout, vocab, inverse):
-    """``compile_trace`` given the trace's :func:`_symbolize`: translate
-    and check each distinct record once, then gather one reference per
-    event."""
+    """``compile_trace`` given the trace's :func:`_symbolize`: check
+    (:func:`~repro.uarch.fetch_engine.check_events`) and translate each
+    distinct record once, then gather one reference per event."""
+    check_events(vocab, layout)
     kinds, a, b, c = vocab
     nv = kinds.shape[0]
     tbl, bb = layout.translation_table()
     tbl_np = _np.asarray(tbl, dtype=_np.int64)
     bb_np = _np.asarray(bb, dtype=_np.int64)
-    sizes_np = _np.asarray(layout.size_lines, dtype=_np.int64)
-    nfuncs = bb_np.shape[0]
     num = layout.num
     den = layout.den
 
-    if ((kinds < EXEC) | (kinds > SWITCH)).any():
-        bad = int(kinds[((kinds < EXEC) | (kinds > SWITCH))][0])
-        raise SimulationError(f"unknown trace event kind {bad}")
-
     # ---- EXEC records: offset ranges -> spans of the layout's table ----
     ex_idx = _np.nonzero(kinds == EXEC)[0]
-    fid = a[ex_idx]
     lo = _np.minimum(b[ex_idx], c[ex_idx])
     hi = _np.maximum(b[ex_idx], c[ex_idx])
-    if ex_idx.size:
-        if (fid < 0).any() or (fid >= nfuncs).any():
-            raise SimulationError("EXEC event references unknown function")
-        if (lo < 0).any():
-            raise SimulationError("EXEC event has a negative offset")
-    first_blk = (lo * num) // den
-    last_blk = (hi * num) // den
-    if ex_idx.size and (last_blk >= sizes_np[fid]).any():
-        raise SimulationError("EXEC offset beyond function extent")
-
     n_scaled = _np.zeros(nv, dtype=_np.float64)
     n_scaled[ex_idx] = (hi - lo + 1) * layout.instr_scale
-    fid_base = bb_np[fid]
+    fid_base = bb_np[a[ex_idx]]
     spans = [()] * nv
-    for v, s, e in zip(ex_idx.tolist(), (fid_base + first_blk).tolist(),
-                       (fid_base + last_blk + 1).tolist()):
+    for v, s, e in zip(ex_idx.tolist(),
+                       (fid_base + (lo * num) // den).tolist(),
+                       (fid_base + (hi * num) // den + 1).tolist()):
         spans[v] = tuple(tbl[s:e])
 
-    # ---- CALL records: pre-resolve the call-site line ----
+    # ---- CALL records from a known caller: the call-site line ----
     callsite = _np.zeros(nv, dtype=_np.int64)
-    call_idx = _np.nonzero(kinds == CALL)[0]
-    callers = b[call_idx]
-    known = call_idx[callers >= 0]
-    kc = b[known]
-    if known.size:
-        if (kc >= nfuncs).any():
-            raise SimulationError("CALL event references unknown caller")
-        cs_off = c[known]
-        if (cs_off < 0).any():
-            raise SimulationError("CALL event has a negative call-site offset")
-        cs_blk = (cs_off * num) // den
-        if (cs_blk >= sizes_np[kc]).any():
-            raise SimulationError("call-site offset beyond function extent")
-        callsite[known] = tbl_np[bb_np[kc] + cs_blk]
+    site = _np.nonzero((kinds == CALL) & (b >= 0))[0]
+    callsite[site] = tbl_np[bb_np[b[site]] + (c[site] * num) // den]
 
     records = _np.empty(nv, dtype=object)
     for v, record in enumerate(zip(kinds.tolist(), a.tolist(), b.tolist(),

@@ -26,6 +26,8 @@ from __future__ import annotations
 import os
 from heapq import heappop, heappush
 
+import numpy as _np
+
 from repro.errors import SimulationError
 from repro.instrument.trace import CALL, EXEC, RET, SWITCH
 from repro.uarch.cache import SetAssocCache
@@ -37,6 +39,56 @@ from repro.uarch.stats import SimStats
 _LCG_MULT = 6364136223846793005
 _LCG_ADD = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
+
+
+def check_events(columns, layout):
+    """Raise :class:`SimulationError` if ``layout`` cannot replay an
+    event in ``columns``, the ``(kinds, a, b, c)`` numpy columns of a
+    trace or of its vocabulary.
+
+    Both engines run it before replaying, so they refuse the same
+    events with the same message.  The message names the first of the
+    checks below that fails, in this order, wherever the events sit.
+    The reference engine relies on it: Python's negative indexing would
+    otherwise replay a negative fid, offset or call-site offset from
+    the wrong lines.
+    """
+    kinds, a, b, c = columns
+    bad = (kinds < EXEC) | (kinds > SWITCH)
+    if bad.any():
+        raise SimulationError(
+            f"unknown trace event kind {int(kinds[bad].min())}")
+    # Viewed as unsigned, a negative operand lies past every bound, so
+    # one comparison checks both ends of a range.
+    nfuncs = len(layout.base_line)
+    bad = (a.view(_np.uint64) >= nfuncs) & (kinds != SWITCH)
+    if bad.any():
+        name = ("EXEC", "CALL", "RET")[int(kinds[bad].min())]
+        raise SimulationError(f"{name} event references unknown function")
+    # per function, the last offset whose block (offset * num // den)
+    # lies inside it
+    sizes = _np.asarray(layout.size_lines, dtype=_np.int64)
+    last = ((sizes * layout.den - 1) // layout.num).view(_np.uint64)
+
+    ex = _np.flatnonzero(kinds == EXEC)
+    lo = b[ex]
+    hi = c[ex]
+    end = last[a[ex]]
+    if ((lo.view(_np.uint64) > end) | (hi.view(_np.uint64) > end)).any():
+        if ((lo < 0) | (hi < 0)).any():
+            raise SimulationError("EXEC event has a negative offset")
+        raise SimulationError("EXEC offset beyond function extent")
+
+    site = _np.flatnonzero((kinds == CALL) & (b >= 0))  # known callers
+    caller = b[site]
+    if (caller >= nfuncs).any():
+        raise SimulationError("CALL event references unknown caller")
+    offset = c[site]
+    if (offset.view(_np.uint64) > last[caller]).any():
+        if (offset < 0).any():
+            raise SimulationError(
+                "CALL event has a negative call-site offset")
+        raise SimulationError("call-site offset beyond function extent")
 
 
 class FetchEngine:
@@ -193,9 +245,13 @@ class FetchEngine:
     # main loop
     # ------------------------------------------------------------------
     def run(self, trace):
-        """Simulate ``trace``; returns the :class:`SimStats`."""
+        """Simulate ``trace``; returns the :class:`SimStats`.
+
+        Raises :class:`SimulationError` before the first event if
+        :func:`check_events` refuses one."""
         config = self.config
         layout = self.layout
+        check_events(trace.columns(), layout)
         stats = self.stats
         prefetcher = self.prefetcher
         base = layout.base_line
@@ -268,10 +324,8 @@ class FetchEngine:
                     stats.mispredict_cycles += penalty
                 if not perfect:
                     prefetcher.on_return(returning, entry, predicted, self)
-            elif kind == SWITCH:
-                pass  # hardware state (caches, RAS, CGHC) is shared
-            else:
-                raise SimulationError(f"unknown trace event kind {kind}")
+            # a SWITCH changes nothing: hardware state (caches, RAS,
+            # CGHC) is shared
             if sampler is not None and stats.instructions >= sampler.next_at:
                 sampler.take(self)
 
@@ -308,24 +362,17 @@ class FetchEngine:
 #: REPRO_SIM_ENGINE environment variable beats this default.
 DEFAULT_ENGINE = "fast"
 
-_ENGINE_ALIASES = {
-    "fast": "fast", "optimized": "fast",
-    "reference": "reference", "ref": "reference",
-}
-
 
 def engine_class(engine=None):
     """Resolve an engine name ('fast'/'reference') to its class."""
     name = engine or os.environ.get("REPRO_SIM_ENGINE") or DEFAULT_ENGINE
-    try:
-        resolved = _ENGINE_ALIASES[name]
-    except KeyError:
+    if name == "reference":
+        return FetchEngine
+    if name != "fast":
         raise SimulationError(
             f"unknown simulation engine {name!r}; "
-            f"pick from {sorted(set(_ENGINE_ALIASES))}"
-        ) from None
-    if resolved == "reference":
-        return FetchEngine
+            "pick from ['fast', 'reference']"
+        )
     from repro.uarch.fast_engine import FastFetchEngine
 
     return FastFetchEngine
@@ -339,7 +386,8 @@ def simulate(trace, layout, config, prefetcher=None, seed=12345, engine=None,
     or ``"reference"`` (the original event loop the optimized core is
     verified against).  When None, the ``REPRO_SIM_ENGINE`` environment
     variable decides, falling back to ``"fast"``.  Both cores produce
-    byte-identical :class:`SimStats`.  A configuration the fast engine's
+    byte-identical :class:`SimStats`, and refuse the same malformed
+    events (:func:`check_events`).  A configuration the fast engine's
     kernels do not inline (``FastFetchEngine.supports``: custom or
     tagged prefetchers, software CGP, a set-associative CGHC, the
     ``l2_demand_priority`` ablation) replays on the reference engine.

@@ -1,10 +1,11 @@
-"""The compile's rejections: every malformed event the fast engine's
-compile refuses, one bad event among well-formed ones per case.
+"""The replay checks: every malformed event that
+``repro.uarch.fetch_engine.check_events`` refuses, one bad event among
+well-formed ones per case.
 
-The compile checks the whole trace up front and names the fault.  The
-reference engine checks none of this: Python's negative indexing lets
-it replay a negative fid, offset or call-site offset from the wrong
-lines, and the other cases fail somewhere inside its loop.
+Both engines run the same check over the whole trace before the first
+event, the fast engine's compile over the trace's vocabulary and the
+reference engine over its columns, so both refuse each case with the
+same ``SimulationError`` message and replay nothing from wrong lines.
 """
 
 import re
@@ -14,11 +15,14 @@ import pytest
 from repro.errors import SimulationError
 from repro.instrument.trace import Trace
 from repro.uarch.fast_engine import compile_trace
+from repro.uarch.fetch_engine import simulate
 from tests.uarch.test_engine_equivalence import (
     CHAIN,
     FUNC_SIZE,
     N_FUNCTIONS,
+    SMALL_CONFIG,
     build_layout,
+    make_prefetcher,
 )
 
 BEYOND = FUNC_SIZE * 100  # past every function's last line
@@ -38,6 +42,14 @@ BAD_EVENTS = {
         (1, 2, 1, -1), "CALL event has a negative call-site offset"),
     "call-site beyond extent": (
         (1, 2, 1, BEYOND), "call-site offset beyond function extent"),
+    "unknown callee": ((1, N_FUNCTIONS, 1, 0),
+                       "CALL event references unknown function"),
+    "negative callee": ((1, -1, 1, 0),
+                        "CALL event references unknown function"),
+    "unknown returning fid": ((2, N_FUNCTIONS, 1, 0),
+                              "RET event references unknown function"),
+    "negative returning fid": ((2, -1, 1, 0),
+                               "RET event references unknown function"),
 }
 
 
@@ -67,3 +79,14 @@ def test_compile_rejects_a_bad_event(case, layout_kind):
     trace = with_bad_event(event)
     with pytest.raises(SimulationError, match=re.escape(message)):
         compile_trace(trace, build_layout(layout_kind))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EVENTS))
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_both_engines_reject_a_bad_event(case, engine):
+    event, message = BAD_EVENTS[case]
+    trace = with_bad_event(event)
+    layout = build_layout("identity")
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        simulate(trace, layout, SMALL_CONFIG,
+                 prefetcher=make_prefetcher("cgp", layout, 4), engine=engine)

@@ -7,7 +7,7 @@ refuses — a prefetcher the kernels do not inline, the
 belongs to another layout — replays on the reference ``FetchEngine``
 under ``simulate(engine="fast")``, and a direct ``FastFetchEngine`` or
 ``replay_sharded`` call refuses it with ``SimulationError`` instead of
-drifting.
+drifting.  ``engine_class`` resolves exactly the two engine names.
 """
 
 from dataclasses import replace
@@ -18,7 +18,7 @@ from repro.core import CgpPrefetcher, SoftwareCgpPrefetcher, train_call_sequence
 from repro.errors import SimulationError
 from repro.uarch.config import CghcConfig
 from repro.uarch.fast_engine import FastFetchEngine
-from repro.uarch.fetch_engine import simulate
+from repro.uarch.fetch_engine import FetchEngine, engine_class, simulate
 from repro.uarch.prefetch.base import Prefetcher
 from repro.uarch.prefetch.nl import NextNLinePrefetcher, TaggedNLPrefetcher
 from repro.uarch.shard import replay_sharded
@@ -144,3 +144,11 @@ def test_cgp_built_for_another_layout_matches_reference():
     fast = replay(case, "fast")
     assert fast["prefetch"].get("cghc") == ref["prefetch"].get("cghc")
     assert fast == ref
+
+
+def test_engine_class_resolves_only_the_two_engine_names():
+    assert engine_class("fast") is FastFetchEngine
+    assert engine_class("reference") is FetchEngine
+    for name in ("ref", "optimized"):
+        with pytest.raises(SimulationError, match="unknown simulation engine"):
+            engine_class(name)
