@@ -25,9 +25,14 @@ checks, per client:
   hands them a non-retryable failure;
 * **index integrity** — the secondary index passes its structural
   invariants and agrees entry-for-entry with the heap;
+* **idempotence** — a second recovery pass over the recovered volume
+  changes no page image;
 * **service resumes** — after recovery a fresh server accepts the
   reconnecting clients and a faultless resume round completes, leaving
   the heap equal to the oracle again.
+
+The recovery checks are the torture harness's own
+(:func:`~repro.db.storage.torture.check_recovery`).
 
 Everything is deterministic and replayable from ``(seed, schedule)``:
 client scripts come from per-client seeded RNGs, the server runs in
@@ -45,14 +50,15 @@ from repro.db.database import Database
 from repro.db.server import ServerConfig, SqlServer
 from repro.db.storage.faults import (
     GROUP_COMMIT_SCHEDULES,
-    SCHEDULES,
     CrashPoint,
     FaultInjector,
     derive_plan,
 )
 from repro.db.storage.torture import (
-    InvariantViolation,
+    check_heap,
+    check_recovery,
     disk_fingerprint,
+    fail,
     surviving_log,
 )
 from repro.errors import ServerBusy, TransientError
@@ -80,6 +86,19 @@ CLIENT_ROLES = (
 #: key-space layout: writers own [1000*cid, 1000*cid + keys); the bulk
 #: loader appends fresh keys from its own high band
 _BULK_BASE = 500_000
+
+#: the traffic's shape: a pool small enough to evict, each writer's key
+#: range, and the transactions each writer or bulk loader runs before
+#: the crash and in the resume round
+POOL_PAGES = 12
+KEYS_PER_CLIENT = 18
+TXNS_PER_CLIENT = 4
+RESUME_TXNS = 2
+
+#: :func:`~repro.db.storage.faults.derive_plan` intensity: the traffic
+#: fires fault points far more often than the torture workload, so hit
+#: indices stretch to land crashes throughout the run
+INTENSITY = 3.0
 
 #: hard ceilings that turn a livelock into a failure, not a hang
 _MAX_ROUNDS = 60_000
@@ -138,13 +157,11 @@ class _Client:
     statements whose only obligation is that failures stay retryable.
     """
 
-    def __init__(self, cid, tenant, role, seed_label, keys_per_client,
-                 txns_left):
+    def __init__(self, cid, tenant, role, seed_label, txns_left):
         self.cid = cid
         self.tenant = tenant
         self.role = role
         self.rng = random.Random(f"chaos:{seed_label}:client:{cid}")
-        self.keys = keys_per_client
         self.base = 1000 * cid
         self.conn = None
         self.committed = {}      # key -> value as of last commit
@@ -193,8 +210,8 @@ class _Client:
             writer_bases = [1000 * i for i, (_t, r) in
                             enumerate(CLIENT_ROLES) if r == "write"]
             return [
-                ("peek",
-                 rng.choice(writer_bases) + rng.randint(0, self.keys - 1))
+                ("peek", rng.choice(writer_bases)
+                 + rng.randint(0, KEYS_PER_CLIENT - 1))
                 for _ in range(rng.randint(2, 5))
             ]
         # write role: torture-style insert-biased mix + validated reads
@@ -204,7 +221,7 @@ class _Client:
             roll = rng.random()
             if not live:
                 op = "ins"
-            elif len(live) >= self.keys:
+            elif len(live) >= KEYS_PER_CLIENT:
                 op = "del" if roll < 0.4 else "upd"
             elif roll < 0.5:
                 op = "ins"
@@ -215,7 +232,8 @@ class _Client:
             else:
                 op = "get"
             if op == "ins":
-                free = [k for k in range(self.base, self.base + self.keys)
+                free = [k for k in range(self.base,
+                                         self.base + KEYS_PER_CLIENT)
                         if k not in live]
                 key = rng.choice(free)
                 live.append(key)
@@ -422,15 +440,14 @@ class _Client:
 class _ChaosDriver:
     """Builds the database + server + clients and drives the traffic."""
 
-    def __init__(self, seed, schedule, *, pool_pages, keys_per_client,
-                 txns_per_client, intensity):
+    def __init__(self, seed, schedule):
         self.seed = seed
         self.schedule = schedule
         self.label = f"{seed}:{schedule}"
-        self.plan = derive_plan(seed, schedule, intensity=intensity)
+        self.plan = derive_plan(seed, schedule, intensity=INTENSITY)
         self.grouped = schedule in GROUP_COMMIT_SCHEDULES
         self.db = Database(
-            pool_pages=pool_pages,
+            pool_pages=POOL_PAGES,
             wal_group_size=3 if self.grouped else 1,
             wal_group_window=24 if self.grouped else 0,
         )
@@ -439,8 +456,8 @@ class _ChaosDriver:
         self.db.create_index(TABLE, "k")
         self.server = self.make_server()
         self.clients = [
-            _Client(cid, tenant, role, self.label, keys_per_client,
-                    txns_per_client if role in ("write", "bulk") else 2)
+            _Client(cid, tenant, role, self.label,
+                    TXNS_PER_CLIENT if role in ("write", "bulk") else 2)
             for cid, (tenant, role) in enumerate(CLIENT_ROLES)
         ]
         for client in self.clients:
@@ -463,9 +480,16 @@ class _ChaosDriver:
         ))
 
     def fail(self, message):
-        raise InvariantViolation(
-            f"{message} [plan {self.plan.to_json()}]"
-        )
+        fail(self.plan, message)
+
+    def heap_rows(self):
+        """The table's rows as ``(rid, key, value)``."""
+        sm = self.db.storage
+        txn = sm.begin()
+        rows = [(rid, *row) for rid, row in
+                self.db.catalog.table(TABLE).scan(txn)]
+        txn.commit()
+        return rows
 
     def drive(self):
         """Run traffic until every client finishes or the fault fires.
@@ -490,16 +514,11 @@ class _ChaosDriver:
             return True, str(death)
 
 
-def run_chaos(seed, schedule, *, pool_pages=12, keys_per_client=18,
-              txns_per_client=4, resume_txns=2, intensity=3.0):
+def run_chaos(seed, schedule):
     """Run one chaos scenario; returns a :class:`ChaosReport` or raises
     :class:`~repro.db.storage.torture.InvariantViolation` with the
     replayable fault plan embedded in the message."""
-    driver = _ChaosDriver(
-        seed, schedule, pool_pages=pool_pages,
-        keys_per_client=keys_per_client, txns_per_client=txns_per_client,
-        intensity=intensity,
-    )
+    driver = _ChaosDriver(seed, schedule)
     injector = FaultInjector(driver.plan)
     driver.db.storage.install_faults(injector)
     crashed, crash_reason = driver.drive()
@@ -514,16 +533,20 @@ def run_chaos(seed, schedule, *, pool_pages=12, keys_per_client=18,
 
     _collect_inflight_errors(driver)
     _check_errors_retryable(driver)
-    resurrected, expected = _recovered_oracle(driver, stats)
-    actual = _check_heap(driver, sm, table, expected)
-    _check_index(driver, sm, actual)
+    states, resurrected = check_recovery(
+        sm, stats, driver.plan, acked=driver.acked, aborted=(),
+        histories=[(c.epochs, c.pending) for c in driver.clients],
+        rows=driver.heap_rows(), index_name=INDEX_NAME,
+    )
 
-    # -- service resumes: a fresh server, reconnecting clients, one
-    # faultless round; the heap must equal the oracle again
+    # -- service resumes: a fresh server, reconnecting clients that start
+    # from their recovered state, one faultless round; the heap must
+    # equal the oracle again
     pre_resume_commits = sum(len(c.epochs) for c in driver.clients)
     driver.server = driver.make_server()
-    for client in driver.clients:
+    for client, state in zip(driver.clients, states):
         client.conn = driver.server.connect(client.tenant)
+        client.committed = dict(state)
         client.script = None
         client.pos = 0
         client.in_txn = False
@@ -533,7 +556,7 @@ def run_chaos(seed, schedule, *, pool_pages=12, keys_per_client=18,
         client.ticket_op = None
         client.restarts = 0
         client.cooldown = 0
-        client.txns_left = (resume_txns
+        client.txns_left = (RESUME_TXNS
                             if client.role in ("write", "bulk") else 1)
     resumed_crash, reason = driver.drive()
     if resumed_crash:
@@ -542,8 +565,8 @@ def run_chaos(seed, schedule, *, pool_pages=12, keys_per_client=18,
     final_expected = {}
     for client in driver.clients:
         final_expected.update(client.committed)
-    actual = _check_heap(driver, sm, table, final_expected)
-    _check_index(driver, sm, actual)
+    rows = driver.heap_rows()
+    check_heap(sm, driver.plan, rows, final_expected, INDEX_NAME)
     resumed_commits = (
         sum(len(c.epochs) for c in driver.clients) - pre_resume_commits
     )
@@ -565,7 +588,7 @@ def run_chaos(seed, schedule, *, pool_pages=12, keys_per_client=18,
         server_retries=(pre_crash_stats["retries"]
                         + resume_stats["retries"]),
         client_restarts=driver.client_restarts, rounds=driver.rounds,
-        resumed_commits=resumed_commits, rows=len(actual),
+        resumed_commits=resumed_commits, rows=len(rows),
         fingerprint=disk_fingerprint(sm.disk),
     )
 
@@ -590,96 +613,3 @@ def _check_errors_retryable(driver):
                     f"client {client.cid} observed non-retryable "
                     f"{type(exc).__name__}: {exc}"
                 )
-
-
-def _recovered_oracle(driver, stats):
-    """Fold every client's commit history against the winner set.
-
-    Returns ``(resurrected, expected)`` and resets each client's
-    ``committed`` view to its recovered state so the resume phase starts
-    from truth."""
-    for txn_id in driver.acked:
-        if txn_id not in stats.winners:
-            driver.fail(f"acked txn {txn_id} lost by recovery")
-    resurrected = 0
-    expected = {}
-    for client in driver.clients:
-        won = [txn_id in stats.winners
-               for txn_id, _state, _durable in client.epochs]
-        if any(won[i] and not won[i - 1] for i in range(1, len(won))):
-            driver.fail(
-                f"client {client.cid} has non-prefix winners "
-                f"{[e[0] for e in client.epochs]} -> {won}"
-            )
-        state = {}
-        for pos in range(len(client.epochs) - 1, -1, -1):
-            if won[pos]:
-                state = client.epochs[pos][1]
-                break
-        if (client.pending is not None
-                and client.pending[0] in stats.winners):
-            # the crash landed inside commit(): the client never got the
-            # ack, but the commit record proved durable — resurrection
-            state = client.pending[1]
-            resurrected += 1
-        client.pending = None
-        client.committed = dict(state)
-        expected.update(state)
-    return resurrected, expected
-
-
-def _check_heap(driver, sm, table, expected):
-    """The heap must hold exactly the oracle's rows; returns key->rid."""
-    txn = sm.begin()
-    actual = {}
-    values = {}
-    for rid, row in table.scan(txn):
-        key, value = row
-        if key in actual:
-            driver.fail(f"duplicate key {key} in heap")
-        actual[key] = rid
-        values[key] = value
-    txn.commit()
-    if values != expected:
-        missing = sorted(set(expected) - set(values))
-        extra = sorted(set(values) - set(expected))
-        wrong = sorted(k for k in set(expected) & set(values)
-                       if expected[k] != values[k])
-        driver.fail(
-            f"heap mismatch: missing {missing}, extra {extra}, "
-            f"wrong values at {wrong}"
-        )
-    return actual
-
-
-def _check_index(driver, sm, actual):
-    """Index invariants + entry-for-entry agreement with the heap."""
-    tree = sm.index(INDEX_NAME)
-    tree.check_invariants()
-    entries = list(tree.range_scan())
-    if len(entries) != len(actual):
-        driver.fail(
-            f"index has {len(entries)} entries for {len(actual)} rows"
-        )
-    for key, rid in entries:
-        if key not in actual:
-            driver.fail(f"index entry {key} has no heap row (orphan)")
-        if actual[key] != rid:
-            driver.fail(
-                f"index rid {rid} disagrees with heap rid {actual[key]} "
-                f"at key {key}"
-            )
-
-
-def run_sweep(seeds, schedules=SCHEDULES, **kwargs):
-    """Run a scenario grid; yields ``(seed, schedule, report_or_error)``.
-
-    Convenience for tests and the CLI: invariant violations are yielded,
-    not raised, so one bad scenario does not mask the rest of the sweep.
-    """
-    for schedule in schedules:
-        for seed in seeds:
-            try:
-                yield seed, schedule, run_chaos(seed, schedule, **kwargs)
-            except InvariantViolation as violation:
-                yield seed, schedule, violation

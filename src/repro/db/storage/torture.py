@@ -19,6 +19,9 @@ checks the full invariant suite:
 * **idempotence** — running recovery a second time over the recovered
   volume changes nothing.
 
+The suite is :func:`check_recovery`; the chaos harness
+(:mod:`repro.db.chaos`) checks its recovered servers with it too.
+
 Everything is deterministic: the workload script comes from
 ``random.Random(f"torture:{seed}:{schedule}")``, transactions are
 interleaved round-robin, and the fault plan is pure in ``(seed,
@@ -65,6 +68,16 @@ def _pack_row(key, value):
 def _unpack_row(raw):
     return _REC.unpack_from(raw)
 
+
+#: the workload's shape: slots (logical clients), each owning a key
+#: range and running transactions of a few operations, over a pool small
+#: enough to evict and a B+-tree fanout small enough to split
+SLOTS = 4
+KEYS_PER_SLOT = 48
+OPS_PER_TXN = (3, 8)
+POOL_PAGES = 8
+BTREE_MAX_KEYS = 8
+
 #: hard ceilings that turn a scheduling bug into a failure, not a hang
 _MAX_STEPS = 20_000
 _MAX_TXN_RESTARTS = 6
@@ -73,6 +86,12 @@ _MAX_TXN_RESTARTS = 6
 class InvariantViolation(StorageError):
     """A recovery invariant failed; the message embeds the fault plan so
     the scenario can be replayed from the error text alone."""
+
+
+def fail(plan, message):
+    """Raise the :class:`InvariantViolation` for ``message`` under
+    ``plan``."""
+    raise InvariantViolation(f"{message} [plan {plan.to_json()}]")
 
 
 class TortureReport(NamedTuple):
@@ -151,16 +170,17 @@ class _Slot:
         self.txn = None
         self.txns_left = txns_left
         self.restarts = 0
-        #: commit history: (txn_id, rows, durable_acked) per commit, in
-        #: order.  Under group commit a returned-but-unforced commit is
-        #: durable only if a later force covered it — the oracle walks
-        #: this list against the recovered winner set.
+        #: commit history: (txn_id, {key: value}, durable_acked) per
+        #: commit, in order.  Under group commit a returned-but-unforced
+        #: commit is durable only if a later force covered it — the
+        #: oracle walks this list against the recovered winner set.
         self.epochs = []
         #: rounds to sit out after a deadlock restart (deterministic
         #: backoff: lets the conflicting transactions drain first)
         self.cooldown = 0
-        #: (txn_id, rows) snapshotted just before commit() — if the crash
-        #: lands inside commit, recovery decides whether this txn won
+        #: (txn_id, {key: value}) snapshotted just before commit() — if
+        #: the crash lands inside commit, recovery decides whether this
+        #: txn won
         self.pending = None
 
     @property
@@ -172,16 +192,13 @@ class _Driver:
     """Round-robin interleaving of slot transactions until the planned
     fault kills the run (or the workload completes for quiesce plans)."""
 
-    def __init__(self, sm, file_id, rng, slots, txns_per_slot, keys_per_slot,
-                 ops_per_txn, sync_commits=True):
+    def __init__(self, sm, file_id, rng, txns_per_slot, sync_commits):
         self.sm = sm
         self.file_id = file_id
         self.rng = rng
-        self.keys_per_slot = keys_per_slot
-        self.ops_per_txn = ops_per_txn
         self.sync_commits = sync_commits
         self.slots = [
-            _Slot(base=1000 * s, txns_left=txns_per_slot) for s in range(slots)
+            _Slot(base=1000 * s, txns_left=txns_per_slot) for s in range(SLOTS)
         ]
         self.next_value = 1
         self.acked = []  # txn ids whose commit returned *durable*
@@ -196,14 +213,14 @@ class _Driver:
     def _make_script(self, slot):
         ops = []
         live = sorted(slot.committed)
-        count = self.rng.randint(self.ops_per_txn[0], self.ops_per_txn[1])
+        count = self.rng.randint(*OPS_PER_TXN)
         for _ in range(count):
             # insert-biased mix so the table outgrows the buffer pool and
             # the run sees real evictions, write-backs, and refaults
             roll = self.rng.random()
             if not live:
                 op = "ins"
-            elif len(live) >= self.keys_per_slot:
+            elif len(live) >= KEYS_PER_SLOT:
                 op = "del" if roll < 0.4 else "upd"
             elif roll < 0.55:
                 op = "ins"
@@ -215,7 +232,7 @@ class _Driver:
             self.next_value += 1
             if op == "ins":
                 free = [
-                    k for k in range(slot.base, slot.base + self.keys_per_slot)
+                    k for k in range(slot.base, slot.base + KEYS_PER_SLOT)
                     if k not in live
                 ]
                 key = self.rng.choice(free)
@@ -287,18 +304,21 @@ class _Driver:
             sm.index_delete(txn, INDEX_NAME, key, rid)
             del slot.working[key]
 
-    def _commit(self, slot):
-        txn = slot.txn
-        slot.pending = (txn.txn_id, dict(slot.working))
+    def commit(self, slot, txn, rows):
+        """Commit ``txn``, after which ``slot`` holds ``rows`` (key ->
+        ``(rid, value)``), under the oracle's bookkeeping."""
+        slot.pending = (
+            txn.txn_id, {key: value for key, (_rid, value) in rows.items()}
+        )
         # a planned fault may kill the process in here
         durable = txn.commit(sync=self.sync_commits)
-        if durable:
-            self.acked.append(txn.txn_id)
-        else:
-            self.unforced.append(txn.txn_id)
-        slot.epochs.append((txn.txn_id, slot.pending[1], durable))
-        slot.committed = slot.pending[1]
+        (self.acked if durable else self.unforced).append(txn.txn_id)
+        slot.epochs.append((*slot.pending, durable))
+        slot.committed = rows
         slot.pending = None
+
+    def _commit(self, slot):
+        self.commit(slot, slot.txn, slot.working)
         slot.txn = None
         slot.script = None
         slot.working = None
@@ -336,9 +356,8 @@ class CrashedState(NamedTuple):
     pre_crash_pool: dict
 
 
-def build_crashed_state(seed, schedule, *, slots=4, txns_per_slot=6,
-                        keys_per_slot=48, ops_per_txn=(3, 8), pool_pages=8,
-                        btree_max_keys=8, index_kind="btree"):
+def build_crashed_state(seed, schedule, *, txns_per_slot=6,
+                        index_kind="btree"):
     """Drive the torture workload into its planned crash and stop there.
 
     Returns a :class:`CrashedState` whose ``sm`` holds the post-crash
@@ -355,15 +374,14 @@ def build_crashed_state(seed, schedule, *, slots=4, txns_per_slot=6,
     rng = random.Random(f"torture:{seed}:{schedule}")
     grouped = schedule in GROUP_COMMIT_SCHEDULES
     sm = StorageManager(
-        pool_pages=pool_pages, btree_max_keys=btree_max_keys,
+        pool_pages=POOL_PAGES, btree_max_keys=BTREE_MAX_KEYS,
         hash_buckets=4,  # tiny directory: force overflow chains
         wal_group_size=3 if grouped else 1,
         wal_group_window=24 if grouped else 0,
     )
     file_id = sm.create_file(RECORD_SIZE)
     sm.create_index(INDEX_NAME, kind=index_kind)
-    driver = _Driver(sm, file_id, rng, slots, txns_per_slot, keys_per_slot,
-                     ops_per_txn, sync_commits=not grouped)
+    driver = _Driver(sm, file_id, rng, txns_per_slot, sync_commits=not grouped)
 
     injector = FaultInjector(plan)
     sm.install_faults(injector)
@@ -377,7 +395,7 @@ def build_crashed_state(seed, schedule, *, slots=4, txns_per_slot=6,
         crash_reason = str(death)
     return CrashedState(
         sm=sm, file_id=file_id, driver=driver, plan=plan,
-        survived=_surviving_log(sm, plan), crashed=crashed,
+        survived=surviving_log(sm, plan), crashed=crashed,
         crash_reason=crash_reason, fired=list(injector.fired),
         pre_crash_pool=sm.pool.stats(),
     )
@@ -404,49 +422,38 @@ def _bulk_preload(sm, file_id, driver):
     sm.index_bulk_load(
         txn, INDEX_NAME, zip(keys, rids), batch_size=PRELOAD_INDEX_BATCH
     )
-    rows = {key: (rid, values[key]) for key, rid in zip(keys, rids)}
-    slot.pending = (txn.txn_id, rows)
-    durable = txn.commit(sync=driver.sync_commits)
-    if durable:
-        driver.acked.append(txn.txn_id)
-    else:
-        driver.unforced.append(txn.txn_id)
-    slot.epochs.append((txn.txn_id, rows, durable))
-    slot.committed = rows
-    slot.pending = None
+    driver.commit(
+        slot, txn, {key: (rid, values[key]) for key, rid in zip(keys, rids)}
+    )
 
 
-def run_torture(seed, schedule, *, slots=4, txns_per_slot=6,
-                keys_per_slot=48, ops_per_txn=(3, 8), pool_pages=8,
-                btree_max_keys=8, index_kind="btree"):
+def run_torture(seed, schedule, *, index_kind="btree"):
     """Run one torture scenario; returns a :class:`TortureReport` or
     raises :class:`InvariantViolation` with a replayable plan."""
-    state = build_crashed_state(
-        seed, schedule, slots=slots, txns_per_slot=txns_per_slot,
-        keys_per_slot=keys_per_slot, ops_per_txn=ops_per_txn,
-        pool_pages=pool_pages, btree_max_keys=btree_max_keys,
-        index_kind=index_kind,
-    )
-    sm, file_id, driver, plan = state.sm, state.file_id, state.driver, state.plan
-    crashed, crash_reason = state.crashed, state.crash_reason
-    pre_crash_pool, fired = state.pre_crash_pool, state.fired
+    state = build_crashed_state(seed, schedule, index_kind=index_kind)
+    sm, driver = state.sm, state.driver
 
     stats = sm.restart(state.survived)
     sm.pool.flush_all()
     fingerprint = disk_fingerprint(sm.disk)
 
-    rows = _check_invariants(sm, file_id, driver, stats, plan)
-    resurrected = sum(
-        1 for slot in driver.slots
-        if slot.pending is not None and slot.pending[0] in stats.winners
+    txn = sm.begin()
+    rows = [(rid, *_unpack_row(raw))
+            for rid, raw in sm.scan_file(txn, state.file_id)]
+    txn.commit()
+    _states, resurrected = check_recovery(
+        sm, stats, state.plan, acked=driver.acked, aborted=driver.aborted,
+        histories=[(slot.epochs, slot.pending) for slot in driver.slots],
+        rows=rows, index_name=INDEX_NAME,
     )
     return TortureReport(
-        seed=seed, schedule=schedule, plan=plan.to_dict(),
-        crashed=crashed, crash_reason=crash_reason, fired=fired,
-        stats=stats, acked=len(driver.acked), resurrected=resurrected,
+        seed=seed, schedule=schedule, plan=state.plan.to_dict(),
+        crashed=state.crashed, crash_reason=state.crash_reason,
+        fired=state.fired, stats=stats, acked=len(driver.acked),
+        resurrected=resurrected,
         deadlock_restarts=driver.deadlock_restarts,
-        disk_retries=pre_crash_pool["disk_retries"],
-        steps=driver.steps, rows=rows, fingerprint=fingerprint,
+        disk_retries=state.pre_crash_pool["disk_retries"],
+        steps=driver.steps, rows=len(rows), fingerprint=fingerprint,
     )
 
 
@@ -467,88 +474,91 @@ def surviving_log(sm, plan):
     return survived + tail
 
 
-#: backwards-compatible internal alias
-_surviving_log = surviving_log
+def check_recovery(sm, stats, plan, *, acked, aborted, histories, rows,
+                   index_name):
+    """Check a restarted storage manager against the crash oracle.
 
+    ``acked`` are the transaction ids whose commit returned durable and
+    ``aborted`` those rolled back before the crash.  Each history is one
+    writer's ``(epochs, pending)``: its commits in order as ``(txn_id,
+    {key: value}, durable)``, and the ``(txn_id, {key: value})`` commit
+    the crash interrupted (or ``None``).  ``rows`` is the recovered heap
+    as ``(rid, key, value)`` and ``index_name`` its index on ``key``.
 
-def _check_invariants(sm, file_id, driver, stats, plan):
-    """Run the full invariant suite; returns the live row count."""
-
-    def fail(message):
-        raise InvariantViolation(f"{message} [plan {plan.to_json()}]")
-
+    Checks durability, atomicity, per-writer prefix winners, heap
+    exactness, index agreement (:func:`check_heap`) and idempotence, and
+    raises :class:`InvariantViolation` on the first that fails.  Returns
+    ``(states, resurrected)``: each history's recovered ``{key: value}``
+    state, and how many interrupted commits proved durable anyway.
+    """
     # durability: commits acknowledged as durable must be winners;
-    # atomicity: deadlock victims must not be
-    for txn_id in driver.acked:
+    # atomicity: aborted transactions must not be
+    for txn_id in acked:
         if txn_id not in stats.winners:
-            fail(f"acked txn {txn_id} lost by recovery")
-    for txn_id in driver.aborted:
+            fail(plan, f"acked txn {txn_id} lost by recovery")
+    for txn_id in aborted:
         if txn_id in stats.winners:
-            fail(f"aborted txn {txn_id} won recovery")
+            fail(plan, f"aborted txn {txn_id} won recovery")
 
     # group commit may lose a returned-but-unforced commit, but only
-    # from the tail: a slot's commits hit the log in order, and the
-    # durable prefix is monotone, so the winners within one slot must be
-    # a prefix of its commit sequence
+    # from the tail: a writer's commits hit the log in order, and the
+    # durable prefix is monotone, so one writer's winners must be a
+    # prefix of its commit sequence
+    states = []
     expected = {}
-    for slot in driver.slots:
-        won = [txn_id in stats.winners for txn_id, _rows, _d in slot.epochs]
+    resurrected = 0
+    for number, (epochs, pending) in enumerate(histories):
+        won = [txn_id in stats.winners for txn_id, _state, _durable in epochs]
         if any(won[i] and not won[i - 1] for i in range(1, len(won))):
-            fail(
-                f"slot at base {slot.base} has non-prefix winners "
-                f"{[e[0] for e in slot.epochs]} -> {won}"
-            )
-        # expected state: the newest surviving commit's rows — including
-        # an in-flight commit whose record proved durable (resurrection)
-        state = {}
-        for pos in range(len(slot.epochs) - 1, -1, -1):
-            if won[pos]:
-                state = slot.epochs[pos][1]
-                break
-        if slot.pending is not None and slot.pending[0] in stats.winners:
-            state = slot.pending[1]
-        for key, (_rid, value) in state.items():
-            expected[key] = value
-
-    txn = sm.begin()
-    actual = {}
-    for rid, raw in sm.scan_file(txn, file_id):
-        key, value = _unpack_row(raw)
-        if key in actual:
-            fail(f"duplicate key {key} in recovered heap")
-        actual[key] = (rid, value)
-    txn.commit()
-
-    actual_values = {key: value for key, (_rid, value) in actual.items()}
-    if actual_values != expected:
-        missing = sorted(set(expected) - set(actual_values))
-        extra = sorted(set(actual_values) - set(expected))
-        wrong = sorted(
-            k for k in set(expected) & set(actual_values)
-            if expected[k] != actual_values[k]
-        )
-        fail(
-            f"heap mismatch: missing keys {missing}, extra keys {extra}, "
-            f"wrong values at {wrong}"
-        )
-
-    # index integrity and index<->heap agreement
-    tree = sm.index(INDEX_NAME)
-    tree.check_invariants()
-    entries = list(tree.range_scan())
-    if len(entries) != len(actual):
-        fail(f"index has {len(entries)} entries for {len(actual)} rows")
-    for key, rid in entries:
-        if key not in actual:
-            fail(f"index entry for key {key} has no heap row (orphan)")
-        if actual[key][0] != rid:
-            fail(f"index rid {rid} disagrees with heap rid {actual[key][0]}")
+            fail(plan, f"history {number} has non-prefix winners "
+                       f"{[epoch[0] for epoch in epochs]} -> {won}")
+        # the newest surviving commit's state — or the interrupted
+        # commit's, if its record proved durable (resurrection)
+        kept = sum(won)
+        state = epochs[kept - 1][1] if kept else {}
+        if pending is not None and pending[0] in stats.winners:
+            state = pending[1]
+            resurrected += 1
+        states.append(state)
+        expected.update(state)
+    check_heap(sm, plan, rows, expected, index_name)
 
     # idempotence: a second recovery pass over the recovered volume is a
     # no-op on every page image
     images_before = dict(sm.disk._images)
     recover(sm.disk, sm.log.records(durable_only=True))
     if dict(sm.disk._images) != images_before:
-        fail("second recovery pass changed the volume")
+        fail(plan, "second recovery pass changed the volume")
+    return states, resurrected
 
-    return len(actual)
+
+def check_heap(sm, plan, rows, expected, index_name):
+    """The heap ``rows`` (``(rid, key, value)``) must hold exactly
+    ``expected`` (key -> value), and index ``index_name`` must pass its
+    structural invariants and agree with the heap entry for entry."""
+    rids = {}
+    values = {}
+    for rid, key, value in rows:
+        if key in rids:
+            fail(plan, f"duplicate key {key} in recovered heap")
+        rids[key] = rid
+        values[key] = value
+    if values != expected:
+        missing = sorted(set(expected) - set(values))
+        extra = sorted(set(values) - set(expected))
+        wrong = sorted(k for k in set(expected) & set(values)
+                       if expected[k] != values[k])
+        fail(plan, f"heap mismatch: missing keys {missing}, extra keys "
+                   f"{extra}, wrong values at {wrong}")
+
+    index = sm.index(index_name)
+    index.check_invariants()
+    entries = list(index.range_scan())
+    if len(entries) != len(rids):
+        fail(plan, f"index has {len(entries)} entries for {len(rids)} rows")
+    for key, rid in entries:
+        if key not in rids:
+            fail(plan, f"index entry for key {key} has no heap row (orphan)")
+        if rids[key] != rid:
+            fail(plan, f"index rid {rid} disagrees with heap rid {rids[key]} "
+                       f"at key {key}")

@@ -57,10 +57,9 @@ def compute_in_worker(runner_args, spec):
         runner = _WORKER_RUNNERS[key] = ExperimentRunner(
             pipeline=pipeline, sim_config=sim_config, scales=scales,
             cache_dir=cache_dir,
-            # workers return stats to the coordinator, which owns the
-            # durable cache writes — keep a single writer.
-            results_dir=None,
         )
+    # compute_spec never touches the durable result cache: workers return
+    # stats to the coordinator, the cache's single writer
     return runner.compute_spec(spec)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db.chaos import ChaosReport, run_chaos, run_sweep
+from repro.db.chaos import ChaosReport, run_chaos
 from repro.db.storage.faults import SCHEDULES, derive_plan
 
 RETRYABLE = {"ServerBusy", "DeadlineExceeded", "ConnectionLost",
@@ -37,13 +37,6 @@ def test_every_schedule_passes_one_seed():
         report = run_chaos(3, schedule)
         assert isinstance(report, ChaosReport), schedule
         assert set(report.client_errors) <= RETRYABLE, schedule
-
-
-def test_run_sweep_yields_reports():
-    results = list(run_sweep([0, 1], schedules=("quiesce", "torn-tail")))
-    assert len(results) == 4
-    for seed, schedule, outcome in results:
-        assert isinstance(outcome, ChaosReport), (seed, schedule)
 
 
 def test_intensity_scales_hit_indexes_only():

@@ -1,8 +1,9 @@
 """Experiment drivers at tiny scale: structure plus qualitative shape.
 
-These assert the *orderings* the paper reports (who wins), not the exact
-factors — the factor checks live in the benchmark harness at larger
-scale (see benchmarks/ and EXPERIMENTS.md).
+These assert the *orderings* the paper reports (who wins) and bands
+around the paper's figures where the small scales already hold them;
+the factor checks live in the benchmark harness at larger scale (see
+benchmarks/ and EXPERIMENTS.md).
 """
 
 import pytest
@@ -26,6 +27,8 @@ from repro.harness.experiments import (
 )
 
 WORKLOADS = ["wisc-prof"]
+#: the Figure 5 and workload-statistics bands hold on both
+BAND_WORKLOADS = ["wisc-prof", "wisc-large-2"]
 
 
 @pytest.fixture(scope="module")
@@ -47,15 +50,18 @@ def test_fig4_cgp4_at_least_cgp2(f4):
 
 
 def test_fig5_structure(small_runner):
-    result = fig5(small_runner, workloads=WORKLOADS)
-    row = result.row("wisc-prof")
-    for variant in ("CGHC-1K", "CGHC-32K", "CGHC-1K+16K", "CGHC-2K+32K",
-                    "CGHC-Inf"):
-        assert row[variant] > 0
-    # small CGHC cannot beat the infinite one by much
-    assert row["vs_inf:CGHC-1K"] >= 0.98
-    # the paper's pick is close to infinite
-    assert row["vs_inf:CGHC-2K+32K"] == pytest.approx(1.0, abs=0.06)
+    result = fig5(small_runner, workloads=BAND_WORKLOADS)
+    for workload in BAND_WORKLOADS:
+        row = result.row(workload)
+        for variant in ("CGHC-1K", "CGHC-32K", "CGHC-1K+16K", "CGHC-2K+32K",
+                        "CGHC-Inf"):
+            assert row[variant] > 0, (workload, variant)
+        # the small CGHC is strictly slower than the infinite one
+        # (paper: ~12%; 6-7% at these scales)
+        assert row["vs_inf:CGHC-1K"] > 1.0, workload
+        # the paper's pick is close to infinite
+        assert row["vs_inf:CGHC-2K+32K"] == pytest.approx(1.0, abs=0.06), \
+            workload
 
 
 def test_fig6_orderings(small_runner):
@@ -114,12 +120,14 @@ def test_runahead_worse_than_nl(small_runner):
 
 
 def test_workload_statistics(small_runner):
-    result = workload_statistics(small_runner, workloads=WORKLOADS)
-    row = result.row("wisc-prof")
-    assert 20 <= row["instrs_between_calls"] <= 120  # paper: ~43
-    assert 0.6 <= row["fanout_below_8"] <= 1.0  # paper: 0.80
-    assert row["code_footprint_kb"] * 1024 > 32 * 1024  # exceeds L1
-    assert row["max_call_depth"] >= 5
+    result = workload_statistics(small_runner, workloads=BAND_WORKLOADS)
+    for workload in BAND_WORKLOADS:
+        row = result.row(workload)
+        assert 20 <= row["instrs_between_calls"] <= 120, workload  # ~43
+        assert row["fanout_below_8"] == pytest.approx(0.80, abs=0.05), \
+            workload  # paper: 0.80
+        assert row["code_footprint_kb"] * 1024 > 32 * 1024, workload  # > L1
+        assert row["max_call_depth"] >= 5, workload
 
 
 @pytest.mark.parametrize("driver,workload", [

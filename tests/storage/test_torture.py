@@ -6,7 +6,8 @@ from repro.db.storage import torture
 from repro.db.storage.faults import SCHEDULES, derive_plan
 
 # a small but representative scenario mix for the unit suite; the full
-# sweep runs via scripts/torture.py (and the CI torture-smoke job)
+# sweep (B+-tree and hash torture plus chaos, every schedule) runs via
+# scripts/torture.py and the CI crash-sweep job
 SMOKE = [(seed, schedule) for schedule in SCHEDULES for seed in (0, 1)]
 
 
