@@ -9,10 +9,9 @@ small enough that the whole benchmark suite regenerates in minutes.
 Override scales with ``REPRO_BENCH_SCALE`` (a multiplier) to run closer
 to paper scale, e.g. ``REPRO_BENCH_SCALE=4 pytest benchmarks/``.
 
-Engine knobs (all optional):
+The runner fans each simulation grid out over the CPUs this process
+may run on.  Engine knobs (all optional):
 
-* ``REPRO_BENCH_WORKERS=N`` — fan simulation grids out over N worker
-  processes (default 1 = serial).
 * ``REPRO_BENCH_CACHE=dir`` — durable artifact + result cache, so
   re-running a figure after an interrupted suite is nearly free.
 * ``REPRO_JOURNAL=path`` — append a JSONL run journal (telemetry).
@@ -27,7 +26,7 @@ import pytest
 
 from repro.harness import (
     DEFAULT_SCALES,
-    ParallelRunner,
+    ExperimentRunner,
     PipelineConfig,
     progress_printer,
 )
@@ -40,11 +39,9 @@ def _scales():
 
 @pytest.fixture(scope="session")
 def runner():
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-    return ParallelRunner(
+    return ExperimentRunner(
         pipeline=PipelineConfig(),
         scales=_scales(),
-        max_workers=workers,
         cache_dir=os.environ.get("REPRO_BENCH_CACHE"),
         journal=os.environ.get("REPRO_JOURNAL"),
         progress=progress_printer() if os.environ.get("REPRO_PROGRESS")

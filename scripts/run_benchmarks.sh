@@ -10,8 +10,9 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.." || exit 1
 # run journal (wall time, worker id, cache hit/miss per simulation).
 export REPRO_PROGRESS="${REPRO_PROGRESS:-1}"
 export REPRO_JOURNAL="${REPRO_JOURNAL:-bench_journal.jsonl}"
-# Opt-in parallel fan-out / durable caching:
-#   REPRO_BENCH_WORKERS=4 REPRO_BENCH_CACHE=.bench_cache scripts/run_benchmarks.sh
+# Grids fan out over the usable CPUs by themselves.  Opt-in durable
+# caching:
+#   REPRO_BENCH_CACHE=.bench_cache scripts/run_benchmarks.sh
 run() {
     echo "=== pytest $* ===" >> bench_output.txt
     # stderr stays on the console so the engine's live progress lines

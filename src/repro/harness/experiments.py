@@ -6,9 +6,9 @@ reports can show paper-vs-measured side by side.
 
 Drivers submit their full (workload x configuration) grid through the
 experiment engine (``runner.run_grid`` / ``runner.run_tasks``) instead
-of simulating cell by cell, so the same driver code runs serially on a
-plain :class:`~repro.harness.runner.ExperimentRunner` and fanned out
-over processes on a :class:`~repro.harness.parallel.ParallelRunner`.
+of simulating cell by cell, so the grid fans out over the runner's
+worker processes (:mod:`repro.harness.parallel`), or runs in-process on
+a runner with ``max_workers=1``, with the same driver code.
 Failed cells never abort a figure: their rows carry whatever values
 survived and the failures land in ``ExperimentResult.failures``.
 """

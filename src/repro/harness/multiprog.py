@@ -14,6 +14,8 @@ The two programs' code images are concatenated into one address space
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as _np
 
 from repro.errors import TraceError
@@ -150,7 +152,9 @@ def database_mix(runner, suite="serving", benchmark="gcc", quantum=20000,
     The paper's §2 interference argument, with the DBMS itself in the
     mix: the multi-tenant ``serving`` trace (or any suite) shares one
     I-cache with a compute benchmark, and the combined miss rate
-    exceeds both solo runs.
+    exceeds both solo runs.  The three replays, both solo runs and the
+    time-shared one, are one ``runner.run_tasks`` grid; a failed
+    replay's row is missing and its failure is in ``result.failures``.
     """
     art = runner.artifacts(suite)
     db_image, db_trace = art.image, art.trace
@@ -176,19 +180,26 @@ def database_mix(runner, suite="serving", benchmark="gcc", quantum=20000,
         ["misses", "miss_rate", "mpki"],
     )
 
-    def run(image, trace, profile, label):
+    def run(image, trace, profile):
         layout = om_layout(image, profile, instr_scale=1.0)
         stats = simulate(trace, layout, sim_config)
-        result.add_row(label, {
+        return {
             "misses": stats.demand_misses,
             "miss_rate": stats.miss_rate,
             "mpki": stats.mpki,
-        })
-        return stats
+        }
 
     # the runner built the DB trace's profile with its artifacts
-    run(db_image, db_trace, art.profile, f"{suite} solo")
-    run(bench_image, bench_trace, profile_of(bench_trace),
-        f"{benchmark} solo")
-    run(combined_image, mixed, profile_of(mixed), "time-shared")
+    tasks = [
+        (f"{suite} solo", partial(run, db_image, db_trace, art.profile)),
+        (f"{benchmark} solo",
+         partial(run, bench_image, bench_trace, profile_of(bench_trace))),
+        ("time-shared",
+         partial(run, combined_image, mixed, profile_of(mixed))),
+    ]
+    grid = runner.run_tasks(tasks, grid="database-mix")
+    for label, _task in tasks:
+        if label in grid:
+            result.add_row(label, grid[label])
+    result.failures = grid.failure_report()
     return result

@@ -16,14 +16,16 @@ being measured (except that wisc-prof and wisc+tpch are themselves in
 the profile set, as in the paper).
 
 Figure grids run through one engine, :meth:`ExperimentRunner.run_grid`
-(and :meth:`~ExperimentRunner.run_tasks` for opaque tasks): each item
-is computed on the runner itself, in this process, or — on a
-:class:`~repro.harness.parallel.ParallelRunner` with more than one
-worker — over a process pool.
+(and :meth:`~ExperimentRunner.run_tasks` for opaque tasks): by default
+the items fan out over worker processes forked from this one, one per
+CPU this process may run on, and run there on this runner's own
+artifacts and compiled images (:mod:`repro.harness.parallel`); with
+``max_workers=1`` each item is computed on the runner, in this process.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
@@ -53,6 +55,7 @@ from repro.instrument.trace import TRACE_FORMAT_VERSION, Trace
 from repro.layout import o5_layout, om_layout, profile_of
 from repro.uarch import TABLE_1, simulate
 from repro.uarch.config import cghc_variant
+from repro.uarch.fast_engine import precompile
 from repro.uarch.prefetch import (
     NextNLinePrefetcher,
     RunAheadNLPrefetcher,
@@ -122,11 +125,36 @@ class ExperimentRunner:
     of the *full* configuration (workload, effective pipeline, layout,
     prefetcher spec, perfect flag, CGHC variant, SimConfig) — never by
     object identity.
+
+    Grid engine parameters:
+
+    ``max_workers``
+        Process fan-out of a grid (default: the CPUs this process may
+        run on).  ``1`` computes every item in-process, on this runner,
+        as does any count where the platform cannot ``fork``.
+    ``timeout``
+        Per-item wall-clock budget in seconds (None = unlimited).  An
+        item computed in-process off the main thread has no deadline:
+        only the main thread can arm ``SIGALRM``.
+    ``fault_hook``
+        Callable invoked with each spec (or task label) before it runs,
+        where it runs.  Exists for fault-injection tests and chaos
+        drills.
     """
 
     def __init__(self, pipeline=PipelineConfig(), sim_config=TABLE_1,
                  cache_dir=None, scales=None, results_dir=None,
-                 journal=None, progress=None):
+                 journal=None, progress=None, max_workers=None,
+                 timeout=None, fault_hook=None):
+        if max_workers is None:
+            max_workers = _usable_cpus()
+        if max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            max_workers = 1  # pool workers must inherit this process
+        self.max_workers = max_workers
+        self.timeout = timeout
+        self.fault_hook = fault_hook
         self.pipeline = pipeline
         self.sim_config = sim_config
         self.scales = dict(DEFAULT_SCALES)
@@ -274,13 +302,17 @@ class ExperimentRunner:
 
     def compute_spec(self, spec):
         """Uncached simulation of one RunSpec."""
+        return simulate(*self._replay_args(spec))
+
+    def _replay_args(self, spec):
+        """``(trace, layout, config, prefetcher)`` of one RunSpec."""
         config = spec.sim_config if spec.sim_config is not None else self.sim_config
         artifacts = self.artifacts(spec.suite)
         layout = artifacts.layout(spec.layout)
         if spec.perfect:
             config = replace(config, perfect_icache=True)
         prefetcher = _make_prefetcher(spec.prefetcher, layout, spec.cghc)
-        return simulate(artifacts.trace, layout, config, prefetcher=prefetcher)
+        return artifacts.trace, layout, config, prefetcher
 
     def clear_results(self):
         self._results.clear()
@@ -288,14 +320,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # grid engine
     # ------------------------------------------------------------------
-    #: Process fan-out, per-item timeout in seconds (None = unlimited)
-    #: and fault-injection hook; :class:`~repro.harness.parallel.
-    #: ParallelRunner` sets all three from its constructor.  With one
-    #: worker every item runs here, on this runner.
-    max_workers = 1
-    timeout = None
-    fault_hook = None
-
     def _emit(self, event, **fields):
         record = {"event": event, **fields}
         if self.journal is not None:
@@ -339,33 +363,26 @@ class ExperimentRunner:
                 finish(spec, dict(here, status="ok", value=stats),
                        cache="hit")
 
-        compute = self.compute_spec
-        if pending and self.max_workers > 1:
-            from repro.harness.parallel import compute_in_worker
-
-            # a pool worker computes on a runner of its own, built once
-            # per process (see compute_in_worker)
-            compute = partial(compute_in_worker, (
-                self.pipeline, self.sim_config, self.scales, self._cache_dir))
-            if self._cache_dir:
-                # stage-1 artifacts are built once here (and persisted)
-                # so workers only pay a load, not a full trace rebuild.
-                # A suite that cannot be built fails its cells in the
-                # workers, as it would in-process, not the whole grid.
-                for suite in dict.fromkeys(spec.suite for spec in pending):
-                    try:
-                        self.artifacts(suite)
-                    except Exception:
-                        pass
-        self._submit([(spec, partial(compute, spec)) for spec in pending],
-                     finish)
+        if self.max_workers > 1:
+            # pool workers fork from this process after every pending
+            # cell's artifacts and compiled image exist here, so they
+            # compute on this runner without building or compiling.  A
+            # cell that fails here fails again where it runs, as it
+            # would in-process, not the whole grid.
+            for spec in pending:
+                try:
+                    precompile(*self._replay_args(spec))
+                except Exception:
+                    pass
+        self._submit([(spec, partial(self.compute_spec, spec))
+                      for spec in pending], finish)
         return run.end()
 
     def run_tasks(self, tasks, grid="tasks"):
         """Run ``(label, callable)`` pairs through the same engine as
         :meth:`run_grid` cells: per-task error capture, timeout and
-        fault hook, no result caching.  A pooled task's callable must
-        pickle."""
+        fault hook, no result caching.  A pooled task's result travels
+        back pickled."""
         run = _GridRun(self, grid, len(tasks))
 
         def finish(label, outcome, attempt):
@@ -378,7 +395,7 @@ class ExperimentRunner:
         """The one submission loop: run each ``(name, job)`` pair through
         :func:`_execute` and call ``on_done(name, outcome, attempt)``
         once per pair — in order, in this process, with one worker;
-        over a process pool otherwise."""
+        over forked worker processes otherwise."""
         if self.max_workers == 1:
             for name, job in jobs:
                 on_done(name, _execute(name, job, self.timeout,
@@ -489,6 +506,15 @@ def _execute(name, job, timeout, fault_hook):
                        traceback=traceback.format_exc(limit=8))
     outcome["wall_s"] = round(time.perf_counter() - started, 4)
     return outcome
+
+
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity mask, where the
+    platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _build_trace(suite_name, pipeline):

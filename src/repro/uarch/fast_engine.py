@@ -88,6 +88,7 @@ from repro.uarch.fetch_engine import (
     _LCG_MASK,
     _LCG_MULT,
     check_events,
+    replay_engine,
 )
 from repro.uarch.prefetch.base import Prefetcher
 from repro.uarch.prefetch.nl import NextNLinePrefetcher, RunAheadNLPrefetcher
@@ -220,8 +221,8 @@ class _TraceEntry:
 
 #: trace -> _TraceEntry; weak on the trace so its compiled images die
 #: with it (and a recycled id can never alias a new trace).  An equal
-#: trace with another identity — a shard worker's unpickled copy —
-#: compiles its own.
+#: trace with another identity — an unpickled copy — compiles its own.
+#: Worker processes forked from the coordinator inherit its entries.
 _COMPILE_CACHE = weakref.WeakKeyDictionary()
 
 
@@ -249,6 +250,16 @@ def _compiled(trace, layout):
     compiled = _compile_for_layout(layout, *entry.symbols)
     entry.images.append((layout, compiled))
     return compiled
+
+
+def precompile(trace, layout, config, prefetcher=None):
+    """Compile ``trace`` for ``layout`` into the compile cache if
+    :func:`~repro.uarch.fetch_engine.simulate` replays this
+    configuration on the fast engine, so a later replay — in this
+    process or in a worker forked from it — starts from the image.  A
+    configuration the reference engine replays compiles nothing."""
+    if replay_engine(config, layout, prefetcher) is FastFetchEngine:
+        _compiled(trace, layout)
 
 
 class FastFetchEngine(FetchEngine):

@@ -378,6 +378,17 @@ def engine_class(engine=None):
     return FastFetchEngine
 
 
+def replay_engine(config, layout, prefetcher=None, engine=None):
+    """The engine class :func:`simulate` replays this configuration on:
+    ``engine_class(engine)``, or the reference engine where that class's
+    kernels do not inline the configuration."""
+    cls = engine_class(engine)
+    if cls is not FetchEngine and not cls.supports(config, layout,
+                                                   prefetcher):
+        return FetchEngine
+    return cls
+
+
 def simulate(trace, layout, config, prefetcher=None, seed=12345, engine=None,
              collector=None):
     """Convenience wrapper: run one simulation, return stats.
@@ -397,9 +408,6 @@ def simulate(trace, layout, config, prefetcher=None, seed=12345, engine=None,
     lifecycle tracing — identical payloads from either engine, and the
     returned :class:`SimStats` are unchanged by collection.
     """
-    cls = engine_class(engine)
-    if cls is not FetchEngine and not cls.supports(config, layout,
-                                                   prefetcher):
-        cls = FetchEngine
+    cls = replay_engine(config, layout, prefetcher, engine)
     return cls(config, layout, prefetcher=prefetcher, seed=seed,
                collector=collector).run(trace)

@@ -136,14 +136,15 @@ def replay_sharded(trace, layout, config, prefetcher=None, seed=12345,
     sharded; any other raises ``SimulationError``, as does a seam where
     one shard's exit stats differ from the next shard's entry stats.
 
-    ``runner`` — an optional :class:`repro.harness.parallel.ParallelRunner`
+    ``runner`` — an optional :class:`repro.harness.runner.ExperimentRunner`
     that replays the shards as ``run_tasks`` tasks (worker processes,
-    crash retry, fault injection); ``None`` replays them in-process
-    through the same snapshot/restore/seam path.  Sharding is never
-    faster than one ``run()``, at any worker count: the last segment
-    cannot start before the record pass has replayed all the others
-    (``uarch.shard2_speedup`` in ``bench/run.py --trace`` measures
-    0.67–0.77 with two workers on a 2-core host).
+    forked after the record pass, inherit the trace and the image it
+    compiled; crash retry, fault injection); ``None`` replays them
+    in-process through the same snapshot/restore/seam path.  Sharding
+    is never faster than one ``run()``, at any worker count: the last
+    segment cannot start before the record pass has replayed all the
+    others (with two workers on a 2-core host, one sharded replay takes
+    1.0–1.4 times as long; see docs/BENCHMARKS.md).
 
     ``collector`` — attribution payloads are not split across
     processes, so a collector forces the sequential chained path: one

@@ -1,6 +1,7 @@
 """Serial/parallel equivalence: every figure driver must produce
-byte-identical ExperimentResult rows whether its grid runs through the
-plain serial ExperimentRunner or through ParallelRunner(max_workers=4).
+byte-identical ExperimentResult rows whether its grid runs in-process on
+an ExperimentRunner(max_workers=1) or on forked workers of a
+ParallelRunner(max_workers=4).
 
 Stats cross the process boundary pickled, and the durable JSON cache
 via SimStats.to_dict()/from_dict(), so these tests also pin that both
@@ -37,7 +38,8 @@ def engines(tmp_path_factory):
     art = str(base / "artifacts")
     common = dict(pipeline=PipelineConfig(quantum_rows=2), scales=SCALES,
                   cache_dir=art)
-    serial = ExperimentRunner(results_dir=str(base / "serial"), **common)
+    serial = ExperimentRunner(results_dir=str(base / "serial"),
+                              max_workers=1, **common)
     parallel = ParallelRunner(results_dir=str(base / "parallel"),
                               max_workers=4, **common)
     return serial, parallel
@@ -57,8 +59,8 @@ def test_driver_rows_identical_serial_vs_parallel(engines, driver):
 
 
 def test_fig10_rows_identical_serial_vs_parallel(engines):
-    _serial, parallel = engines
-    a = fig10(target_instructions=100_000)
+    serial, parallel = engines
+    a = fig10(target_instructions=100_000, engine=serial)
     b = fig10(target_instructions=100_000, engine=parallel)
     assert a.failures == [] and b.failures == []
     assert a.rows == b.rows
@@ -70,7 +72,7 @@ def test_scale_sensitivity_identical(engines, tmp_path_factory):
     large_scales = {"wisc-large-2": 0.012}
     serial_large = ExperimentRunner(
         pipeline=PipelineConfig(quantum_rows=2), scales=large_scales,
-        cache_dir=str(base / "art"))
+        cache_dir=str(base / "art"), max_workers=1)
     parallel_large = ParallelRunner(
         pipeline=PipelineConfig(quantum_rows=2), scales=large_scales,
         cache_dir=str(base / "art"), results_dir=str(base / "rp"),

@@ -5,8 +5,8 @@ per-run timeout, a worker whose process dies, a corrupted durable cache
 entry — must produce a *partial* GridResult naming the failing cell.
 Never a hang, never a silently wrong answer.
 
-The injected hooks are module-level functions so they pickle into
-worker processes.
+Pool workers fork from the coordinator and inherit the injected hooks
+with the grid's jobs, so a hook need not pickle.
 """
 
 import functools
@@ -35,7 +35,7 @@ def make_engine(tmp_path, **kwargs):
     return ParallelRunner(**kwargs)
 
 
-# ---- picklable fault hooks -------------------------------------------
+# ---- fault hooks -----------------------------------------------------
 
 
 def raise_on_bad(spec):

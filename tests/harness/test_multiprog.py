@@ -2,7 +2,7 @@
 
 from types import SimpleNamespace
 
-from repro.harness import multiprog
+from repro.harness import ExperimentRunner, multiprog
 from repro.harness.multiprog import (
     combine_images,
     database_mix,
@@ -115,8 +115,11 @@ def test_database_mix_background_thread_clears_the_db_threads(
     for tid in (3, 9, 4):
         trace.add_switch(tid)
         trace.extend(prof_artifacts.trace)
-    runner = SimpleNamespace(artifacts=lambda _suite: SimpleNamespace(
-        image=prof_artifacts.image, trace=trace, profile=profile_of(trace)))
+    runner = SimpleNamespace(
+        artifacts=lambda _suite: SimpleNamespace(
+            image=prof_artifacts.image, trace=trace,
+            profile=profile_of(trace)),
+        run_tasks=ExperimentRunner(max_workers=1).run_tasks)
     tids = []
 
     def spy(db_trace, bg_trace, bg_tid, **kwargs):

@@ -30,8 +30,10 @@ from repro.uarch.fast_engine import (
     _symbolize,
     clear_compile_cache,
     compile_trace,
+    precompile,
 )
 from repro.uarch.fetch_engine import simulate
+from repro.uarch.prefetch import NextNLinePrefetcher, TaggedNLPrefetcher
 from tests.uarch.test_engine_equivalence import (
     CHAIN,
     FUNC_SIZE,
@@ -144,6 +146,31 @@ def test_compiled_images_die_with_their_trace():
     gc.collect()
     assert [image() for image in images] == [None, None]
     assert len(_COMPILE_CACHE) == 0
+
+
+def test_precompile_compiles_what_a_fast_replay_would(monkeypatch):
+    """``precompile`` leaves in the cache the image a ``simulate`` of
+    the same configuration replays from, and compiles nothing for a
+    configuration the reference engine replays."""
+    trace, layouts = trace_and_layouts()
+    layout = layouts["OM"]
+
+    def images():
+        entry = _COMPILE_CACHE.get(trace)
+        return [] if entry is None else entry.images
+
+    clear_compile_cache()
+    precompile(trace, layout, SMALL_CONFIG, TaggedNLPrefetcher(2))
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
+    precompile(trace, layout, SMALL_CONFIG)
+    assert images() == []
+    monkeypatch.delenv("REPRO_SIM_ENGINE")
+    precompile(trace, layout, SMALL_CONFIG, NextNLinePrefetcher(2))
+    ((cached_layout, image),) = images()
+    assert cached_layout is layout
+    calls = count_symbolizations(monkeypatch)
+    simulate(trace, layout, SMALL_CONFIG)
+    assert calls == [] and images() == [(layout, image)]
 
 
 def reference_lines(layout, fid, o1, o2):
